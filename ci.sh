@@ -61,6 +61,20 @@ for T in 1 4; do
 done
 echo "reference and fused kernel dumps bitwise identical at 1 and 4 threads"
 
+echo "==> guarded engine parity gate (guarded vs plain engine, 1 and 4 threads)"
+# A budget that never binds routes reach through the guarded engine
+# (health checks, budget polls, panic quarantine); its value dumps must
+# be byte-identical to the plain engine's.
+for T in 1 4; do
+    ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads "$T" \
+        --max-iters 100000000 --values-out "$CI_DIR/guarded_t$T.hex" >/dev/null 2>&1
+    if ! cmp -s "$CI_DIR/reach_t$T.hex" "$CI_DIR/guarded_t$T.hex"; then
+        echo "FAIL: guarded engine values diverge from the plain engine (threads $T)"
+        exit 1
+    fi
+done
+echo "guarded and plain engine dumps bitwise identical at 1 and 4 threads"
+
 echo "==> metrics exposition smoke check"
 ./target/release/unicon metrics --ftwc 1 --time-bounds 10 2>/dev/null > "$CI_DIR/metrics.txt"
 # every line is a comment header or a 'name value' / 'name{labels} value' sample

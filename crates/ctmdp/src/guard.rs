@@ -1,8 +1,8 @@
 //! Guarded execution layer for the timed-reachability engines.
 //!
-//! [`ReachBatch::run_guarded`] wraps the sequential and parallel value
-//! iteration with four robustness facilities that the plain engines
-//! deliberately do not carry:
+//! [`ReachBatch::run_guarded`] runs the shared value-iteration step loop
+//! with four robustness facilities that the plain engines deliberately
+//! do not carry:
 //!
 //! * **numeric health monitoring** — after every value-iteration step the
 //!   fresh iterate is scanned for NaN, infinities and out-of-`[0, 1]`
@@ -22,13 +22,13 @@
 //!   recomputed deterministically from the stored `(rate, t, ε)` regime.
 //!   A checksum trailer (FNV-1a 64) makes truncation and bit rot a typed
 //!   [`GuardError::CheckpointCorrupt`], never undefined behaviour;
-//! * **panic quarantine** — every parallel step runs its workers under
+//! * **panic quarantine** — every step runs each worker's chunk under
 //!   [`std::panic::catch_unwind`]; a panicking worker either fails the
 //!   run with a typed [`GuardError::WorkerPanicked`]
 //!   ([`DegradePolicy::Fail`]) or is quarantined: the step is recomputed
-//!   sequentially from the same snapshot (so the result stays bitwise
-//!   identical) and the run degrades to one thread, recording a
-//!   [`GuardEvent::Degradation`] ([`DegradePolicy::Sequential`]).
+//!   on the calling thread alone from the same previous iterate (so the
+//!   result stays bitwise identical) and the run degrades to one thread,
+//!   recording a [`GuardEvent::Degradation`] ([`DegradePolicy::Sequential`]).
 //!
 //! Under the `fault-inject` cargo feature a deterministic, seeded
 //! [`FaultPlan`] can flip a value to NaN at a chosen step, panic a chosen
@@ -38,30 +38,28 @@
 //! # Determinism
 //!
 //! A guarded run's values are bitwise identical to the plain
-//! [`ReachBatch::run`] for every thread count: every slot is written by
-//! the shared [`sweep_states`] sweep (which dispatches to the batch's
-//! selected kernel), workers read the previous iterate as an immutable
-//! snapshot and write disjoint slots, and degradation replays the
-//! interrupted step from that same snapshot. The guarded parallel
-//! path trades the plain engine's persistent worker pool for one scope
-//! per step so that each step is a quarantine boundary.
+//! [`ReachBatch::run`] for every thread count: it runs the plain engines'
+//! own step loop and step executor (`crate::par`), adding only hooks
+//! between steps — the budget poll before a step; the NaN fault, the
+//! health check and the checkpoint after it. Workers read the previous
+//! iterate as an immutable plane and write disjoint slots, and
+//! degradation replays the interrupted step from that same plane.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use unicon_numeric::fnv::fnv1a64;
 use unicon_numeric::{chunked_stable_sum, FoxGlynn, FoxGlynnError};
-use unicon_sparse::assign_blocks;
 
 #[cfg(feature = "fault-inject")]
 use unicon_numeric::rng::{Rng, XorShift64};
 
-use crate::par::{resolve_threads, ReachBatch, CHECKSUM_BLOCK};
+use crate::par::{resolve_threads, step_loop, ReachBatch, StepHooks, WorkerPanic, CHECKSUM_BLOCK};
 use crate::reachability::{
-    finalize_values, indicator_result, sweep_states, validate_epsilon, validate_time, Kernel,
-    Objective, Precompute, ReachError, ReachResult,
+    finalize_values, indicator_result, validate_epsilon, validate_time, Objective, Precompute,
+    ReachError, ReachResult, Sweep, SweepBuffers,
 };
 
 /// Tolerance of the out-of-range health check: iterates may drift this
@@ -586,16 +584,6 @@ const CK_MAGIC: [u8; 8] = *b"UNICKPT\0";
 /// Current checkpoint format version.
 const CK_VERSION: u32 = 1;
 
-/// FNV-1a 64-bit, the checkpoint trailer hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 fn objective_byte(objective: Objective) -> u8 {
     match objective {
         Objective::Maximize => 0,
@@ -913,105 +901,6 @@ impl CheckpointData {
 // The guarded engine
 // ---------------------------------------------------------------------
 
-/// One guarded value-iteration step, split over `workers` scoped threads
-/// with each worker's chunk under `catch_unwind`. Returns the index of a
-/// panicking worker, leaving `q_out` partially written (the caller
-/// discards or recomputes it).
-///
-/// Determinism: every slot is written by the shared [`sweep_states`]
-/// sweep (with the run's selected kernel) against the immutable `q_next`
-/// snapshot, so the result is bitwise independent of `workers`.
-#[allow(clippy::too_many_arguments)]
-fn guarded_step(
-    kernel: Kernel,
-    ctmdp: &crate::model::Ctmdp,
-    pre: &Precompute,
-    goal: &[bool],
-    psi: f64,
-    q_next: &[f64],
-    q_out: &mut [f64],
-    maximize: bool,
-    workers: usize,
-    step: usize,
-    panic_at: Option<(usize, usize)>,
-) -> Result<(), usize> {
-    let ranges: Vec<std::ops::Range<usize>> = assign_blocks(q_out.len(), workers.max(1))
-        .into_iter()
-        .filter(|r| !r.is_empty())
-        .collect();
-    let mut failed: Option<usize> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [f64] = q_out;
-        for (w, range) in ranges.iter().enumerate() {
-            // assign_blocks yields contiguous ascending ranges over
-            // 0..n, so splitting in order hands each worker its slots.
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let range = range.clone();
-            handles.push(scope.spawn(move || {
-                // AssertUnwindSafe: on Err the chunk is discarded (Fail)
-                // or fully rewritten (Sequential), so a half-written
-                // buffer never escapes.
-                catch_unwind(AssertUnwindSafe(|| {
-                    if panic_at == Some((step, w)) {
-                        panic!("injected worker fault (step {step}, worker {w})");
-                    }
-                    sweep_states(
-                        kernel,
-                        ctmdp,
-                        pre,
-                        goal,
-                        range,
-                        psi,
-                        q_next,
-                        maximize,
-                        chunk,
-                        &mut [],
-                    );
-                }))
-                .map_err(|_| w)
-            }));
-        }
-        for handle in handles {
-            if let Err(w) = handle.join().expect("guarded worker catches its panics") {
-                failed.get_or_insert(w);
-            }
-        }
-    });
-    match failed {
-        Some(w) => Err(w),
-        None => Ok(()),
-    }
-}
-
-/// Sequential recomputation of one step — the quarantine fallback.
-#[allow(clippy::too_many_arguments)]
-fn sequential_step(
-    kernel: Kernel,
-    ctmdp: &crate::model::Ctmdp,
-    pre: &Precompute,
-    goal: &[bool],
-    psi: f64,
-    q_next: &[f64],
-    q_out: &mut [f64],
-    maximize: bool,
-) {
-    let n = q_out.len();
-    sweep_states(
-        kernel,
-        ctmdp,
-        pre,
-        goal,
-        0..n,
-        psi,
-        q_next,
-        maximize,
-        q_out,
-        &mut [],
-    );
-}
-
 /// Brackets the interrupted query when stopping before step `next_i`
 /// with `q_next` holding `q_{next_i + 1}`.
 #[allow(clippy::too_many_arguments)]
@@ -1049,33 +938,6 @@ fn make_partial(
     }
 }
 
-/// Snapshot of everything a checkpoint must capture at this moment.
-fn checkpoint_data(
-    batch: &ReachBatch<'_>,
-    pre: &Precompute,
-    results: &[ReachResult],
-    in_progress: Option<InProgress>,
-) -> CheckpointData {
-    CheckpointData {
-        n: batch.ctmdp.num_states(),
-        epsilon_bits: batch.epsilon.to_bits(),
-        rate_bits: pre.rate.to_bits(),
-        queries: batch
-            .queries
-            .iter()
-            .map(|q| (q.t.to_bits(), objective_byte(q.objective)))
-            .collect(),
-        completed: results
-            .iter()
-            .map(|r| CompletedQuery {
-                iterations: r.iterations,
-                values: r.values.clone(),
-            })
-            .collect(),
-        in_progress,
-    }
-}
-
 /// Applies the planned checkpoint truncation, if armed.
 #[cfg(feature = "fault-inject")]
 fn apply_truncate_fault(guard: &GuardOptions, path: &Path) -> Result<(), GuardError> {
@@ -1095,39 +957,208 @@ fn apply_truncate_fault(guard: &GuardOptions, path: &Path) -> Result<(), GuardEr
     Ok(())
 }
 
-/// Writes a checkpoint, records the event and (under `fault-inject`)
-/// applies the planned truncation.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    batch: &ReachBatch<'_>,
-    pre: &Precompute,
-    guard: &GuardOptions,
-    results: &[ReachResult],
-    in_progress: Option<InProgress>,
+/// The state of one guarded run across its queries.
+struct Guarded<'b, 'm> {
+    batch: &'b ReachBatch<'m>,
+    pre: &'b Precompute,
+    guard: &'b GuardOptions,
+    /// Worker count for the next query; drops to 1 after a degradation.
+    workers: usize,
+    results: Vec<ReachResult>,
+    events: Vec<GuardEvent>,
+    iterations_done: usize,
+    health_checks: usize,
+    steps_since_ck: usize,
+}
+
+impl Guarded<'_, '_> {
+    /// Writes a checkpoint, records the event and (under `fault-inject`)
+    /// applies the planned truncation.
+    fn write_checkpoint(
+        &mut self,
+        in_progress: Option<InProgress>,
+        query: usize,
+        step: usize,
+    ) -> Result<(), GuardError> {
+        let Some(cfg) = &self.guard.checkpoint else {
+            return Ok(());
+        };
+        let batch = self.batch;
+        let data = CheckpointData {
+            n: batch.ctmdp.num_states(),
+            epsilon_bits: batch.epsilon.to_bits(),
+            rate_bits: self.pre.rate.to_bits(),
+            queries: batch
+                .queries
+                .iter()
+                .map(|q| (q.t.to_bits(), objective_byte(q.objective)))
+                .collect(),
+            completed: self
+                .results
+                .iter()
+                .map(|r| CompletedQuery {
+                    iterations: r.iterations,
+                    values: r.values.clone(),
+                })
+                .collect(),
+            in_progress,
+        };
+        data.write_atomic(&cfg.path)?;
+        self.events
+            .push(GuardEvent::CheckpointWritten { query, step });
+        unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
+            kind: "checkpoint",
+            query,
+            step,
+            detail: cfg.path.display().to_string(),
+        });
+        #[cfg(feature = "fault-inject")]
+        apply_truncate_fault(self.guard, &cfg.path)?;
+        Ok(())
+    }
+
+    fn finish(self, stopped: Option<(StopReason, Option<PartialQuery>)>) -> GuardedRun {
+        GuardedRun {
+            results: self.results,
+            stopped,
+            events: self.events,
+            health_checks: self.health_checks,
+        }
+    }
+}
+
+/// Why a guarded query's step loop stopped early.
+enum Halt {
+    /// The budget ran out before a step; the query is bracketed.
+    Budget(StopReason, PartialQuery),
+    /// The run fails.
+    Failed(GuardError),
+}
+
+impl From<GuardError> for Halt {
+    fn from(e: GuardError) -> Self {
+        Halt::Failed(e)
+    }
+}
+
+/// The guarded engine's hooks for one query of the shared step loop.
+struct QueryHooks<'g, 'b, 'm> {
+    run: &'g mut Guarded<'b, 'm>,
     query: usize,
-    step: usize,
-    events: &mut Vec<GuardEvent>,
-) -> Result<(), GuardError> {
-    let Some(cfg) = &guard.checkpoint else {
-        return Ok(());
-    };
-    checkpoint_data(batch, pre, results, in_progress).write_atomic(&cfg.path)?;
-    events.push(GuardEvent::CheckpointWritten { query, step });
-    unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
-        kind: "checkpoint",
-        query,
-        step,
-        detail: cfg.path.display().to_string(),
-    });
-    #[cfg(feature = "fault-inject")]
-    apply_truncate_fault(guard, &cfg.path)?;
-    Ok(())
+    t: f64,
+    fg: &'g FoxGlynn,
+    k: usize,
+}
+
+impl StepHooks for QueryHooks<'_, '_, '_> {
+    type Stop = Halt;
+
+    /// Polls the budget; on exhaustion brackets the query and writes a
+    /// checkpoint of `q_{i+1}`.
+    fn before_step(&mut self, i: usize, prev: &[f64]) -> Result<(), Halt> {
+        let Some(reason) = self.run.guard.budget.exceeded(self.run.iterations_done) else {
+            return Ok(());
+        };
+        let qi = self.query;
+        unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
+            kind: "budget-exhausted",
+            query: qi,
+            step: i,
+            detail: reason.as_str().to_string(),
+        });
+        let batch = self.run.batch;
+        let partial = make_partial(
+            qi,
+            self.t,
+            self.fg,
+            self.k,
+            i,
+            &batch.goal,
+            prev,
+            batch.epsilon,
+        );
+        let in_progress = InProgress {
+            query: qi,
+            k: self.k,
+            current_i: i + 1,
+            q: prev.to_vec(),
+        };
+        self.run.write_checkpoint(Some(in_progress), qi, i + 1)?;
+        Err(Halt::Budget(reason, partial))
+    }
+
+    fn worker_panicked(
+        &mut self,
+        i: usize,
+        workers: usize,
+        panic: WorkerPanic,
+    ) -> Result<(), Halt> {
+        let (query, worker) = (self.query, panic.worker);
+        match self.run.guard.on_degrade {
+            DegradePolicy::Fail => Err(GuardError::WorkerPanicked {
+                query,
+                step: i,
+                worker,
+            }
+            .into()),
+            DegradePolicy::Sequential => {
+                self.run.events.push(GuardEvent::Degradation {
+                    query,
+                    step: i,
+                    worker,
+                    from_threads: workers,
+                    to_threads: 1,
+                });
+                unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
+                    kind: "degradation",
+                    query,
+                    step: i,
+                    detail: format!("worker {worker} panicked; degrading {workers} -> 1 threads"),
+                });
+                self.run.workers = 1;
+                Ok(())
+            }
+        }
+    }
+
+    /// Applies the planned NaN flip, checks numeric health and writes the
+    /// periodic checkpoint of `q_i`.
+    fn after_step(&mut self, i: usize, q: &mut [f64]) -> Result<(), Halt> {
+        #[cfg(feature = "fault-inject")]
+        if let Some((fault_step, fault_state)) =
+            self.run.guard.fault_plan.as_ref().and_then(|p| p.nan_at)
+        {
+            if fault_step == i && fault_state < q.len() {
+                q[fault_state] = f64::NAN;
+            }
+        }
+        self.run.health_checks += 1;
+        check_health(q, i).map_err(GuardError::Health)?;
+        self.run.iterations_done += 1;
+        let Some(cfg) = &self.run.guard.checkpoint else {
+            return Ok(());
+        };
+        self.run.steps_since_ck += 1;
+        if self.run.steps_since_ck >= cfg.every.max(1) {
+            self.run.steps_since_ck = 0;
+            let in_progress = InProgress {
+                query: self.query,
+                k: self.k,
+                current_i: i,
+                q: q.to_vec(),
+            };
+            self.run
+                .write_checkpoint(Some(in_progress), self.query, i)?;
+        }
+        Ok(())
+    }
 }
 
 /// The shared driver behind [`ReachBatch::run_guarded`],
-/// [`ReachBatch::run_guarded_with_engine`] and [`ReachBatch::resume`].
-/// `shared_pre` reuses a long-lived precomputation (the serve path);
-/// `None` builds a fresh one — the choice affects no result bit.
+/// [`ReachBatch::run_guarded_with_engine`] and [`ReachBatch::resume`]: the
+/// shared step loop with the guarded hooks. `shared_pre` reuses a
+/// long-lived precomputation (the serve path); `None` builds a fresh one
+/// — the choice affects no result bit.
 fn run_guarded_inner(
     batch: &ReachBatch<'_>,
     guard: &GuardOptions,
@@ -1147,25 +1178,35 @@ fn run_guarded_inner(
         }
     };
     let n = batch.ctmdp.num_states();
-    let mut workers = resolve_threads(batch.threads).min(n).max(1);
+    #[cfg(feature = "fault-inject")]
+    let panic_at = guard.fault_plan.as_ref().and_then(|p| p.panic_worker_at);
+    #[cfg(not(feature = "fault-inject"))]
+    let panic_at: Option<(usize, usize)> = None;
     // A planned worker panic names a specific worker index, so the planned
     // pool must actually spawn: honor the literal thread request even on
     // hardware with fewer cores (results are thread-count invariant).
-    #[cfg(feature = "fault-inject")]
-    if let Some(plan) = &guard.fault_plan {
-        if plan.panic_worker_at.is_some() {
-            workers = batch.threads.min(n).max(1);
-        }
-    }
-    let every = guard.checkpoint.as_ref().map_or(1, |c| c.every.max(1));
+    let workers = if panic_at.is_some() {
+        batch.threads
+    } else {
+        resolve_threads(batch.threads)
+    };
 
-    let mut results: Vec<ReachResult> = Vec::new();
-    let mut events: Vec<GuardEvent> = Vec::new();
+    let mut run = Guarded {
+        batch,
+        pre,
+        guard,
+        workers,
+        results: Vec::new(),
+        events: Vec::new(),
+        iterations_done: 0,
+        health_checks: 0,
+        steps_since_ck: 0,
+    };
     let mut in_progress: Option<InProgress> = None;
     if let Some(ck) = resume {
         ck.validate_against(batch, pre)?;
         for done in ck.completed {
-            results.push(ReachResult {
+            run.results.push(ReachResult {
                 values: done.values,
                 iterations: done.iterations,
                 uniform_rate: pre.rate,
@@ -1176,9 +1217,9 @@ fn run_guarded_inner(
         in_progress = ck.in_progress;
         let (query, step) = match &in_progress {
             Some(ip) => (ip.query, ip.current_i),
-            None => (results.len(), 0),
+            None => (run.results.len(), 0),
         };
-        events.push(GuardEvent::Resumed { query, step });
+        run.events.push(GuardEvent::Resumed { query, step });
         unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
             kind: "resumed",
             query,
@@ -1186,23 +1227,15 @@ fn run_guarded_inner(
             detail: String::new(),
         });
     }
-    let start_query = results.len();
-
-    #[cfg(feature = "fault-inject")]
-    let panic_at = guard.fault_plan.as_ref().and_then(|p| p.panic_worker_at);
-    #[cfg(not(feature = "fault-inject"))]
-    let panic_at: Option<(usize, usize)> = None;
-
-    let mut iterations_done = 0usize;
-    let mut health_checks = 0usize;
-    let mut steps_since_ck = 0usize;
+    let start_query = run.results.len();
+    let mut bufs = SweepBuffers::default();
 
     for qi in start_query..batch.queries.len() {
         let query = batch.queries[qi];
         let query_start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
         if query.t == 0.0 || pre.rate == 0.0 {
-            results.push(indicator_result(&batch.goal, pre.rate));
-            write_checkpoint(batch, pre, guard, &results, None, qi, 0, &mut events)?;
+            run.results.push(indicator_result(&batch.goal, pre.rate));
+            run.write_checkpoint(None, qi, 0)?;
             continue;
         }
 
@@ -1211,7 +1244,6 @@ fn run_guarded_inner(
         // and additionally types the underflow regime.
         let cached = FoxGlynn::try_weights(pre.rate * query.t, batch.epsilon)?;
         let (fg, k) = (cached.fg, cached.truncation);
-        let maximize = query.objective == Objective::Maximize;
         unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
             query: qi,
             t: query.t,
@@ -1220,9 +1252,8 @@ fn run_guarded_inner(
             right: k,
         });
 
-        let mut q_next = vec![0.0f64; n]; // q_{k+1} = 0
-        let mut q = vec![0.0f64; n];
-        let mut i_start = k;
+        bufs.reset(n); // q_{k+1} = 0
+        let mut from = k;
         if let Some(ip) = in_progress.take() {
             if ip.k != k {
                 return Err(GuardError::CheckpointMismatch {
@@ -1238,154 +1269,47 @@ fn run_guarded_inner(
                     reason: format!("stored iterate has {} entries, expected {n}", ip.q.len()),
                 });
             }
-            q_next = ip.q; // q_{current_i}, exact bits
-            i_start = ip.current_i - 1; // next step to execute
+            bufs.q_next.copy_from_slice(&ip.q); // q_{current_i}, exact bits
+            from = ip.current_i - 1; // next step to execute
         }
 
-        for i in (1..=i_start).rev() {
-            if let Some(reason) = guard.budget.exceeded(iterations_done) {
-                unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
-                    kind: "budget-exhausted",
-                    query: qi,
-                    step: i,
-                    detail: reason.as_str().to_string(),
-                });
-                let partial =
-                    make_partial(qi, query.t, &fg, k, i, &batch.goal, &q_next, batch.epsilon);
-                write_checkpoint(
-                    batch,
-                    pre,
-                    guard,
-                    &results,
-                    Some(InProgress {
-                        query: qi,
-                        k,
-                        current_i: i + 1,
-                        q: q_next.clone(),
-                    }),
-                    qi,
-                    i + 1,
-                    &mut events,
-                )?;
-                return Ok(GuardedRun {
-                    results,
-                    stopped: Some((reason, Some(partial))),
-                    events,
-                    health_checks,
-                });
+        let sweep = Sweep {
+            ctmdp: batch.ctmdp,
+            pre,
+            goal: &batch.goal,
+            kernel: batch.kernel,
+            maximize: query.objective == Objective::Maximize,
+            record: false,
+            fault: panic_at,
+        };
+        let workers = run.workers;
+        let mut hooks = QueryHooks {
+            run: &mut run,
+            query: qi,
+            t: query.t,
+            fg: &fg,
+            k,
+        };
+        match step_loop(&sweep, workers, &fg, k, from, qi, &mut bufs, &mut hooks) {
+            Ok(_) => {}
+            Err(Halt::Budget(reason, partial)) => {
+                return Ok(run.finish(Some((reason, Some(partial)))));
             }
-
-            let psi = fg.psi(i);
-            if let Err(worker) = guarded_step(
-                batch.kernel,
-                batch.ctmdp,
-                pre,
-                &batch.goal,
-                psi,
-                &q_next,
-                &mut q,
-                maximize,
-                workers,
-                i,
-                panic_at,
-            ) {
-                match guard.on_degrade {
-                    DegradePolicy::Fail => {
-                        return Err(GuardError::WorkerPanicked {
-                            query: qi,
-                            step: i,
-                            worker,
-                        });
-                    }
-                    DegradePolicy::Sequential => {
-                        events.push(GuardEvent::Degradation {
-                            query: qi,
-                            step: i,
-                            worker,
-                            from_threads: workers,
-                            to_threads: 1,
-                        });
-                        unicon_obs::emit(unicon_obs::Class::Guard, || unicon_obs::Event::Guard {
-                            kind: "degradation",
-                            query: qi,
-                            step: i,
-                            detail: format!(
-                                "worker {worker} panicked; degrading {workers} -> 1 threads"
-                            ),
-                        });
-                        workers = 1;
-                        // Replay from the untouched snapshot — same
-                        // kernel, same inputs, so the degraded step is
-                        // bitwise the step the workers should have done.
-                        sequential_step(
-                            batch.kernel,
-                            batch.ctmdp,
-                            pre,
-                            &batch.goal,
-                            psi,
-                            &q_next,
-                            &mut q,
-                            maximize,
-                        );
-                    }
-                }
-            }
-
-            #[cfg(feature = "fault-inject")]
-            if let Some((fault_step, fault_state)) =
-                guard.fault_plan.as_ref().and_then(|p| p.nan_at)
-            {
-                if fault_step == i && fault_state < n {
-                    q[fault_state] = f64::NAN;
-                }
-            }
-
-            health_checks += 1;
-            check_health(&q, i)?;
-            iterations_done += 1;
-            crate::reachability::emit_iteration(qi, i, &fg, k, &q);
-            std::mem::swap(&mut q, &mut q_next); // q_next now holds q_i
-
-            if guard.checkpoint.is_some() {
-                steps_since_ck += 1;
-                if steps_since_ck >= every {
-                    steps_since_ck = 0;
-                    write_checkpoint(
-                        batch,
-                        pre,
-                        guard,
-                        &results,
-                        Some(InProgress {
-                            query: qi,
-                            k,
-                            current_i: i,
-                            q: q_next.clone(),
-                        }),
-                        qi,
-                        i,
-                        &mut events,
-                    )?;
-                }
-            }
+            Err(Halt::Failed(e)) => return Err(e),
         }
 
-        results.push(ReachResult {
-            values: finalize_values(&batch.goal, &q_next),
+        run.results.push(ReachResult {
+            values: finalize_values(&batch.goal, &bufs.q_next),
             iterations: k,
             uniform_rate: pre.rate,
             runtime: query_start.elapsed(),
             decisions: Vec::new(),
         });
-        steps_since_ck = 0;
-        write_checkpoint(batch, pre, guard, &results, None, qi, 0, &mut events)?;
+        run.steps_since_ck = 0;
+        run.write_checkpoint(None, qi, 0)?;
     }
 
-    Ok(GuardedRun {
-        results,
-        stopped: None,
-        events,
-        health_checks,
-    })
+    Ok(run.finish(None))
 }
 
 impl ReachBatch<'_> {

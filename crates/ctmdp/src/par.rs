@@ -1,36 +1,44 @@
-//! Parallel and batched timed reachability.
+//! The value-iteration step loop, and batched timed reachability.
 //!
-//! This module scales Algorithm 1 along two axes:
+//! Every engine — single queries, [`ReachBatch`] runs, [`ReachEngine`]
+//! queries, guarded runs and resumes — runs Algorithm 1's backward loop
+//! through one step loop and one step executor in this module. The
+//! module scales the loop along two axes:
 //!
-//! * **across states** — every backward value-iteration step is split over
-//!   a scoped pool of `std::thread` workers, each owning a contiguous
-//!   range of the state space ([`timed_reachability_par`]);
+//! * **across states** — each value-iteration step splits the output
+//!   plane into contiguous ranges, one per worker. The calling thread
+//!   sweeps the first range and scoped `std::thread` workers sweep the
+//!   rest, each writing its own `split_at_mut` chunk in place; one worker
+//!   runs inline and spawns nothing;
 //! * **across queries** — a [`ReachBatch`] answers many `(time bound,
 //!   objective)` queries in one pass, building the CSR traversal
 //!   structures once and caching Fox–Glynn weight vectors keyed by
 //!   `(rate, t, epsilon)`.
 //!
+//! What differs between the engines — budgets, health checks,
+//! checkpoints, fault injection, worker-panic policy — is a set of hooks
+//! the loop calls between steps; the guarded engine
+//! ([`crate::guard`]) supplies them, the plain engines pass none.
+//!
 //! # Determinism contract
 //!
-//! Parallel results are **bitwise identical** to the sequential engine's
-//! for every thread count:
+//! Results are **bitwise identical** for every thread count:
 //!
-//! * each state's update runs the exact kernel the sequential engine runs
-//!   ([`reachability` internals]), reading the previous iterate as a
-//!   shared snapshot and writing to a disjoint output slot — no
-//!   cross-state arithmetic exists that could reassociate;
+//! * each state's update runs the one shared sweep kernel, reading the
+//!   previous iterate as an immutable plane and writing a disjoint output
+//!   slot — no cross-state arithmetic exists that could reassociate;
 //! * the per-query value checksum reported in [`QueryStats`] is a chunked
 //!   Neumaier reduction over **fixed-size** blocks
 //!   ([`unicon_numeric::chunked_stable_sum`]), so its grouping never
 //!   depends on the worker count.
 //!
-//! The differential test suite (`tests/par_differential.rs`) pins this
-//! contract for 1, 2 and 8 threads on randomly generated uniform CTMDPs.
-//!
-//! [`reachability` internals]: crate::reachability::timed_reachability
+//! The differential test suites (`tests/par_differential.rs`,
+//! `tests/kernel_differential.rs`) pin this contract for 1, 2 and 8
+//! threads on randomly generated uniform CTMDPs.
 
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::any::Any;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use unicon_numeric::{chunked_stable_sum, CachedWeights, FoxGlynn, WeightCache};
@@ -38,9 +46,9 @@ use unicon_sparse::assign_blocks;
 
 use crate::model::Ctmdp;
 use crate::reachability::{
-    emit_iteration, emit_kernel_timing, finalize_values, indicator_result, iterate_sequential,
-    sweep_states, validate_epsilon, validate_time, Kernel, Objective, Precompute, ReachError,
-    ReachOptions, ReachResult, SweepBuffers,
+    emit_iteration, emit_kernel_timing, finalize_values, indicator_result, validate_epsilon,
+    validate_time, Kernel, Objective, Precompute, ReachError, ReachOptions, ReachResult, Sweep,
+    SweepBuffers,
 };
 
 /// Fixed block size of the deterministic checksum reduction — a property
@@ -61,76 +69,33 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Computes `opt_D Pr_D(s ⤳≤t B)` with the state-space loop of every
-/// value-iteration step split over `threads` scoped worker threads.
-///
-/// `threads == 0` uses one worker per available hardware thread;
-/// `threads == 1` (or a single-state model) runs the sequential engine.
-/// Results — values, iteration count and recorded decisions — are bitwise
-/// identical to [`crate::reachability::timed_reachability`] for every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`crate::reachability::timed_reachability`] — invalid `t`, epsilon
-/// or goal length are typed errors, not panics.
-pub fn timed_reachability_par(
-    ctmdp: &Ctmdp,
-    goal: &[bool],
-    t: f64,
-    opts: &ReachOptions,
-    threads: usize,
-) -> Result<ReachResult, ReachError> {
-    validate_time(t)?;
-    validate_epsilon(opts.epsilon)?;
-    let pre = Precompute::new(ctmdp, goal)?;
-    if t == 0.0 || pre.rate == 0.0 {
-        return Ok(indicator_result(goal, pre.rate));
-    }
-    let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
-    let fg = FoxGlynn::new(pre.rate * t);
-    let k = fg.right_truncation(opts.epsilon);
-    let mut bufs = SweepBuffers::default();
-    Ok(run_query(
-        ctmdp, &pre, goal, &fg, k, opts, threads, 0, start, &mut bufs,
-    ))
-}
-
-/// Dispatches one query to the sequential or parallel driver. `qi` is
-/// the query's index within its batch, used only to tag telemetry;
-/// `bufs` carries the iterate scratch vectors across the queries of a
-/// batch so repeated same-model queries run allocation-free.
-#[allow(clippy::too_many_arguments)]
+/// Runs one plain query with one worker per resolved thread, emitting
+/// the per-query kernel-speed metrics. `qi` is the query's index within
+/// its batch, used only to tag telemetry; `bufs` carries the value planes
+/// across the queries of a batch so repeated same-model queries run
+/// allocation-free.
 pub(crate) fn run_query(
-    ctmdp: &Ctmdp,
-    pre: &Precompute,
-    goal: &[bool],
+    sweep: &Sweep<'_>,
     fg: &FoxGlynn,
     k: usize,
-    opts: &ReachOptions,
     threads: usize,
     qi: usize,
     start: Instant,
     bufs: &mut SweepBuffers,
 ) -> ReachResult {
-    let workers = resolve_threads(threads).min(ctmdp.num_states());
     // Per-query kernel-speed attribution: snapshot the shared class-time
     // ledger around the iteration and emit the delta as picosecond-per-
     // state observations. Read-only with respect to the iteration — the
     // values are bitwise identical whether or not metrics are live.
     let metrics_live = unicon_obs::live(unicon_obs::Class::Metric);
     let before = if metrics_live {
-        Some(pre.timing.snapshot())
+        Some(sweep.pre.timing.snapshot())
     } else {
         None
     };
-    let result = if workers <= 1 {
-        iterate_sequential(ctmdp, pre, goal, fg, k, opts, qi, start, bufs)
-    } else {
-        iterate_parallel(ctmdp, pre, goal, fg, k, opts, workers, qi, start, bufs)
-    };
+    let result = iterate(sweep, fg, k, resolve_threads(threads), qi, start, bufs);
     if let Some(before) = &before {
-        emit_kernel_timing(pre, before);
+        emit_kernel_timing(sweep.pre, before);
         unicon_obs::observe(
             "reach_query_ns",
             u64::try_from(result.runtime.as_nanos()).unwrap_or(u64::MAX),
@@ -139,180 +104,204 @@ pub(crate) fn run_query(
     result
 }
 
-/// One unit of work: apply step `psi` to the worker's state range against
-/// the shared previous iterate, filling the recycled buffers.
-struct Job {
-    psi: f64,
-    q_next: Arc<Vec<f64>>,
-    values: Vec<f64>,
-    decisions: Vec<u16>,
-}
-
-/// A worker's finished chunk, sent back for assembly.
-struct ChunkResult {
-    worker: usize,
-    values: Vec<f64>,
-    decisions: Vec<u16>,
-}
-
-/// The parallel value-iteration driver: persistent scoped workers, one
-/// contiguous state range each, synchronized per step through channels.
-/// All scratch vectors — the two value planes and the per-worker chunk
-/// buffers — are borrowed from (and returned to) `bufs`, so consecutive
-/// queries of a batch re-run without a single fresh allocation.
-#[allow(clippy::too_many_arguments)]
-fn iterate_parallel(
-    ctmdp: &Ctmdp,
-    pre: &Precompute,
-    goal: &[bool],
+/// One plain query: all `k` steps with no hooks between them.
+pub(crate) fn iterate(
+    sweep: &Sweep<'_>,
     fg: &FoxGlynn,
     k: usize,
-    opts: &ReachOptions,
     workers: usize,
     qi: usize,
     start: Instant,
     bufs: &mut SweepBuffers,
 ) -> ReachResult {
-    let n = ctmdp.num_states();
-    let maximize = opts.objective == Objective::Maximize;
-    let kernel = opts.kernel;
-    let record = opts.record_decisions;
-    let ranges: Vec<std::ops::Range<usize>> = assign_blocks(n, workers)
-        .into_iter()
-        .filter(|r| !r.is_empty())
-        .collect();
-
-    let mut decisions: Vec<Vec<u16>> = Vec::new();
-    if record {
-        decisions.resize(k, Vec::new());
-    }
-
-    // `current` is the shared snapshot q_{i+1}; `spare` is the assembly
-    // target for q_i. They rotate each step, recycling both allocations.
-    let (plane_a, plane_b) = bufs.take_pair(n);
-    let mut current = Arc::new(plane_a);
-    let mut spare = plane_b;
-    // Per-worker scratch, keyed by worker index so the buffer sized for
-    // range `w` on the previous query is handed back to range `w` now.
-    while bufs.chunks.len() < ranges.len() {
-        bufs.chunks.push(Default::default());
-    }
-    let mut buffers: Vec<Option<(Vec<f64>, Vec<u16>)>> =
-        bufs.chunks.drain(..ranges.len()).map(Some).collect();
-
-    std::thread::scope(|scope| {
-        let (done_tx, done_rx) = mpsc::channel::<ChunkResult>();
-        let mut job_txs = Vec::with_capacity(ranges.len());
-        for (w, range) in ranges.iter().cloned().enumerate() {
-            let (job_tx, job_rx) = mpsc::channel::<Job>();
-            job_txs.push(job_tx);
-            let done_tx = done_tx.clone();
-            scope.spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    let Job {
-                        psi,
-                        q_next,
-                        mut values,
-                        mut decisions,
-                    } = job;
-                    values.clear();
-                    values.resize(range.len(), 0.0);
-                    if record {
-                        decisions.clear();
-                        decisions.resize(range.len(), 0);
-                    }
-                    sweep_states(
-                        kernel,
-                        ctmdp,
-                        pre,
-                        goal,
-                        range.clone(),
-                        psi,
-                        &q_next,
-                        maximize,
-                        &mut values,
-                        &mut decisions,
-                    );
-                    // Drop the snapshot before reporting so the main
-                    // thread can reclaim its allocation afterwards.
-                    drop(q_next);
-                    if done_tx
-                        .send(ChunkResult {
-                            worker: w,
-                            values,
-                            decisions,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            });
-        }
-
-        for i in (1..=k).rev() {
-            let psi = fg.psi(i);
-            for (w, job_tx) in job_txs.iter().enumerate() {
-                let (values, decs) = buffers[w].take().expect("buffer returned last step");
-                // Capacity probe on the assembler thread: the workers
-                // only clear+resize, so growth shows up exactly once per
-                // undersized buffer — the quantity the buffer-reuse
-                // regression tests pin.
-                if values.capacity() < ranges[w].len() {
-                    bufs.allocs += 1;
-                }
-                if record && decs.capacity() < ranges[w].len() {
-                    bufs.allocs += 1;
-                }
-                job_tx
-                    .send(Job {
-                        psi,
-                        q_next: Arc::clone(&current),
-                        values,
-                        decisions: decs,
-                    })
-                    .expect("worker alive while jobs pend");
-            }
-            let mut step_decisions: Vec<u16> = if record { vec![0; n] } else { Vec::new() };
-            for _ in 0..ranges.len() {
-                let chunk = done_rx.recv().expect("worker delivers its chunk");
-                let range = ranges[chunk.worker].clone();
-                spare[range.clone()].copy_from_slice(&chunk.values);
-                if record {
-                    step_decisions[range].copy_from_slice(&chunk.decisions);
-                }
-                buffers[chunk.worker] = Some((chunk.values, chunk.decisions));
-            }
-            if record {
-                decisions[i - 1] = step_decisions;
-            }
-            // Telemetry runs on the assembler thread only, after every
-            // chunk has landed — workers never emit.
-            emit_iteration(qi, i, fg, k, &spare);
-            // Rotate: the assembled q_i becomes the next snapshot; the old
-            // snapshot's allocation is reclaimed (every worker has dropped
-            // its clone before sending, so the Arc is unique again).
-            let old = std::mem::replace(&mut current, Arc::new(std::mem::take(&mut spare)));
-            spare = Arc::try_unwrap(old).unwrap_or_else(|_| vec![0.0; n]);
-        }
-        drop(job_txs); // workers exit their recv loop
-    });
-
-    let result = ReachResult {
-        values: finalize_values(goal, &current),
+    bufs.reset(sweep.goal.len());
+    let decisions = match step_loop(sweep, workers, fg, k, k, qi, bufs, &mut Plain) {
+        Ok(decisions) => decisions,
+        Err(never) => match never {},
+    };
+    ReachResult {
+        values: finalize_values(sweep.goal, &bufs.q_next),
         iterations: k,
-        uniform_rate: pre.rate,
+        uniform_rate: sweep.pre.rate,
         runtime: start.elapsed(),
         decisions,
+    }
+}
+
+/// A panic caught in one chunk of a value-iteration step.
+pub(crate) struct WorkerPanic {
+    /// Index of the chunk's worker; 0 is the calling thread.
+    pub(crate) worker: usize,
+    /// The panic payload, for re-raising.
+    pub(crate) payload: Box<dyn Any + Send>,
+}
+
+/// What a caller of [`step_loop`] does between steps. An `Err` from any
+/// hook ends the loop and is returned from it.
+pub(crate) trait StepHooks {
+    /// Why the loop stopped early.
+    type Stop;
+
+    /// Runs before step `i`, with `prev` holding `q_{i+1}`.
+    fn before_step(&mut self, _i: usize, _prev: &[f64]) -> Result<(), Self::Stop> {
+        Ok(())
+    }
+
+    /// A chunk of step `i`, split over `workers` chunks, panicked. `Ok`
+    /// replays the step from the untouched `q_{i+1}` on the calling thread
+    /// alone, and the rest of the query runs with one worker.
+    fn worker_panicked(
+        &mut self,
+        i: usize,
+        workers: usize,
+        panic: WorkerPanic,
+    ) -> Result<(), Self::Stop>;
+
+    /// Runs after step `i` wrote `q` (`q_i`), before its telemetry record.
+    fn after_step(&mut self, _i: usize, _q: &mut [f64]) -> Result<(), Self::Stop> {
+        Ok(())
+    }
+}
+
+/// The plain engines' hooks: nothing between steps, and a worker panic
+/// is re-raised on the calling thread.
+struct Plain;
+
+impl StepHooks for Plain {
+    type Stop = std::convert::Infallible;
+
+    fn worker_panicked(
+        &mut self,
+        _i: usize,
+        _workers: usize,
+        panic: WorkerPanic,
+    ) -> Result<(), Self::Stop> {
+        resume_unwind(panic.payload)
+    }
+}
+
+/// The value-iteration step loop of every engine: runs steps `from` down
+/// to 1 of a `k`-step query with `workers` workers (clamped to
+/// `1..=states`), calling `hooks` between steps and emitting each step's
+/// iteration record. On entry `bufs.q_next` holds `q_{from + 1}` — zero
+/// for a fresh query (`from == k`), a checkpointed plane on resume; on
+/// `Ok` it holds `q_1`. Returns one decision row per step when
+/// `sweep.record` is set, nothing otherwise.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn step_loop<H: StepHooks>(
+    sweep: &Sweep<'_>,
+    workers: usize,
+    fg: &FoxGlynn,
+    k: usize,
+    from: usize,
+    qi: usize,
+    bufs: &mut SweepBuffers,
+    hooks: &mut H,
+) -> Result<Vec<Vec<u16>>, H::Stop> {
+    let n = sweep.goal.len();
+    let mut ranges = assign_blocks(n, workers.clamp(1, n.max(1)));
+    let mut decisions = if sweep.record {
+        vec![Vec::new(); k]
+    } else {
+        Vec::new()
     };
-    // Return every scratch vector for the next query. The workers have
-    // all exited the scope, so the snapshot Arc is unique again.
-    let plane = Arc::try_unwrap(current).unwrap_or_else(|arc| arc.as_ref().clone());
-    bufs.restore_pair(plane, spare);
-    let mut restored: Vec<(Vec<f64>, Vec<u16>)> = buffers.into_iter().flatten().collect();
-    restored.append(&mut bufs.chunks); // keep any leftover stash behind
-    bufs.chunks = restored;
-    result
+    let SweepBuffers { q, q_next, .. } = bufs;
+    for i in (1..=from).rev() {
+        hooks.before_step(i, q_next)?;
+        let psi = fg.psi(i);
+        let mut row = if sweep.record { vec![0; n] } else { Vec::new() };
+        let fault = sweep.fault.filter(|&(step, _)| step == i).map(|(_, w)| w);
+        if let Err(panic) = run_step(sweep, &ranges, psi, q_next, q, &mut row, fault) {
+            hooks.worker_panicked(i, ranges.len(), panic)?;
+            // Replay from the untouched q_{i+1}: same kernel, same inputs,
+            // so the replayed step is bitwise the step the workers owed.
+            ranges = assign_blocks(n, 1);
+            if let Err(panic) = run_step(sweep, &ranges, psi, q_next, q, &mut row, None) {
+                resume_unwind(panic.payload);
+            }
+        }
+        hooks.after_step(i, q)?;
+        if sweep.record {
+            decisions[i - 1] = row;
+        }
+        // Telemetry runs on the calling thread only, after every chunk
+        // has landed — workers never emit.
+        emit_iteration(qi, i, fg, k, q);
+        std::mem::swap(q, q_next);
+    }
+    Ok(decisions)
+}
+
+/// The step executor: sweeps one step from `prev` into `out` (and into
+/// `decisions`, when recording) over `ranges`, which tile `0..n` in
+/// order. The calling thread sweeps the first range and one scoped thread
+/// per further range sweeps its own `split_at_mut` chunk in place; a
+/// single range runs inline. Every chunk runs under `catch_unwind`, so a
+/// panic is returned (lowest worker index first), never propagated; the
+/// caller then discards or rewrites the whole plane. `fault` names a
+/// worker to panic at the start of its chunk (fault injection).
+fn run_step(
+    sweep: &Sweep<'_>,
+    ranges: &[Range<usize>],
+    psi: f64,
+    prev: &[f64],
+    out: &mut [f64],
+    decisions: &mut [u16],
+    fault: Option<usize>,
+) -> Result<(), WorkerPanic> {
+    let chunk = |worker: usize, range: Range<usize>, out: &mut [f64], decisions: &mut [u16]| {
+        // AssertUnwindSafe: after a panic the caller fails the run or
+        // rewrites the whole plane, so a half-written chunk never escapes.
+        catch_unwind(AssertUnwindSafe(|| {
+            if fault == Some(worker) {
+                panic!("injected worker fault (worker {worker})");
+            }
+            sweep.states(range, psi, prev, out, decisions);
+        }))
+        .map_err(|payload| WorkerPanic { worker, payload })
+    };
+    let Some((first, rest)) = ranges.split_first() else {
+        return Ok(());
+    };
+    if rest.is_empty() {
+        return chunk(0, first.clone(), out, decisions);
+    }
+    let (mut out, mut decisions) = (out, decisions);
+    let (out0, decisions0) = split_front(&mut out, &mut decisions, first.len());
+    std::thread::scope(|scope| {
+        let chunk = &chunk;
+        let handles: Vec<_> = rest
+            .iter()
+            .enumerate()
+            .map(|(w, range)| {
+                let (out, decisions) = split_front(&mut out, &mut decisions, range.len());
+                scope.spawn(move || chunk(w + 1, range.clone(), out, decisions))
+            })
+            .collect();
+        let mut result = chunk(0, first.clone(), out0, decisions0);
+        for handle in handles {
+            let joined = handle.join().expect("chunk sweeps catch their own panics");
+            if result.is_ok() {
+                result = joined;
+            }
+        }
+        result
+    })
+}
+
+/// Splits the first `len` value slots — and as many decision slots, when
+/// recording — off the fronts of `out` and `decisions`.
+fn split_front<'s>(
+    out: &mut &'s mut [f64],
+    decisions: &mut &'s mut [u16],
+    len: usize,
+) -> (&'s mut [f64], &'s mut [u16]) {
+    let (head, tail) = std::mem::take(out).split_at_mut(len);
+    *out = tail;
+    let decision_len = if decisions.is_empty() { 0 } else { len };
+    let (decision_head, decision_tail) = std::mem::take(decisions).split_at_mut(decision_len);
+    *decisions = decision_tail;
+    (head, decision_head)
 }
 
 /// One query of a [`ReachBatch`].
@@ -492,8 +481,9 @@ impl<'a> ReachBatch<'a> {
     /// Runs all queries, sharing precomputation and weight vectors.
     ///
     /// Every returned [`ReachResult`]'s values are bitwise equal to the
-    /// corresponding single-query [`timed_reachability_par`] call (and
-    /// hence to the sequential engine).
+    /// corresponding single-query
+    /// [`crate::reachability::timed_reachability`] call, for every thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -579,12 +569,9 @@ impl<'a> ReachBatch<'a> {
                 });
                 let opts = opts_base.with_objective(q.objective);
                 let result = run_query(
-                    self.ctmdp,
-                    pre,
-                    &self.goal,
+                    &Sweep::new(self.ctmdp, pre, &self.goal, &opts),
                     &cached.fg,
                     cached.truncation,
-                    &opts,
                     threads,
                     qi,
                     Instant::now(), // det-lint: allow(clock): event timestamp only.
@@ -662,7 +649,7 @@ impl<'a> ReachBatch<'a> {
 /// disjoint writes, fixed-block checksums), so the same query returns
 /// bitwise-identical values whether issued serially, interleaved with
 /// other queries, or at any worker-thread count — the same contract
-/// [`timed_reachability_par`] pins.
+/// [`ReachBatch`] pins.
 ///
 /// The engine does not borrow the model; calls pass `&Ctmdp` so the
 /// engine can live next to an owned model inside a registry entry. It is
@@ -731,7 +718,8 @@ impl ReachEngine {
     }
 
     /// Answers one query, computing the Fox–Glynn weights in place (no
-    /// cache). Bitwise identical to [`timed_reachability_par`].
+    /// cache). Bitwise identical to
+    /// [`crate::reachability::timed_reachability`].
     ///
     /// # Errors
     ///
@@ -807,12 +795,9 @@ impl ReachEngine {
             .with_epsilon(epsilon)
             .with_objective(objective);
         run_query(
-            ctmdp,
-            &self.pre,
-            &self.goal,
+            &Sweep::new(ctmdp, &self.pre, &self.goal, &opts),
             &weights.fg,
             weights.truncation,
-            &opts,
             threads,
             0,
             Instant::now(), // det-lint: allow(clock): runtime telemetry only.
@@ -845,11 +830,31 @@ mod tests {
         let goal = [false, false, true];
         let opts = ReachOptions::default().with_epsilon(1e-10);
         let seq = timed_reachability(&m, &goal, 2.5, &opts).unwrap();
+        let engine = ReachEngine::new(&m, &goal).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = timed_reachability_par(&m, &goal, 2.5, &opts, threads).unwrap();
+            let par = engine
+                .query(&m, 2.5, Objective::Maximize, 1e-10, threads)
+                .unwrap();
             assert_eq!(bits(&par.values), bits(&seq.values), "threads {threads}");
             assert_eq!(par.iterations, seq.iterations);
         }
+    }
+
+    /// Runs `iterate` at `workers` workers, unclamped by the hardware,
+    /// so the chunk split runs on any host.
+    fn iterate_at(
+        m: &Ctmdp,
+        goal: &[bool],
+        t: f64,
+        opts: &ReachOptions,
+        workers: usize,
+    ) -> ReachResult {
+        let pre = Precompute::new(m, goal).unwrap();
+        let fg = FoxGlynn::new(pre.rate * t);
+        let k = fg.right_truncation(opts.epsilon);
+        let sweep = Sweep::new(m, &pre, goal, opts);
+        let mut bufs = SweepBuffers::default();
+        iterate(&sweep, &fg, k, workers, 0, Instant::now(), &mut bufs)
     }
 
     #[test]
@@ -863,19 +868,54 @@ mod tests {
         let goal = [false, true, false];
         let opts = ReachOptions::default().recording_decisions();
         let seq = timed_reachability(&m, &goal, 1.0, &opts).unwrap();
-        let par = timed_reachability_par(&m, &goal, 1.0, &opts, 2).unwrap();
-        assert_eq!(seq.decisions, par.decisions);
-        assert_eq!(bits(&seq.values), bits(&par.values));
+        for workers in [2, 3, 8] {
+            let par = iterate_at(&m, &goal, 1.0, &opts, workers);
+            assert_eq!(seq.decisions, par.decisions, "workers {workers}");
+            assert_eq!(bits(&seq.values), bits(&par.values));
+        }
+    }
+
+    /// Decision rows are split along the same ranges as the value plane:
+    /// a ring of 40 two-action states, on both kernels.
+    #[test]
+    fn parallel_decision_recording_is_bitwise_equal() {
+        let n = 40u32;
+        let mut b = CtmdpBuilder::new(n as usize, 0);
+        for s in 0..n {
+            b.transition(s, "fwd", &[((s + 1) % n, 1.5), ((s + 3) % n, 0.5)]);
+            b.transition(s, "back", &[((s + n - 1) % n, 1.0), ((s + 2) % n, 1.0)]);
+        }
+        let m = b.build();
+        let goal: Vec<bool> = (0..n).map(|s| s % 7 == 3).collect();
+        for kernel in [Kernel::Reference, Kernel::Fused] {
+            for objective in [Objective::Maximize, Objective::Minimize] {
+                let opts = ReachOptions::default()
+                    .with_epsilon(1e-8)
+                    .with_objective(objective)
+                    .with_kernel(kernel)
+                    .recording_decisions();
+                let seq = timed_reachability(&m, &goal, 2.0, &opts).unwrap();
+                assert!(!seq.decisions.is_empty());
+                for workers in [2, 8] {
+                    let par = iterate_at(&m, &goal, 2.0, &opts, workers);
+                    assert_eq!(par.decisions, seq.decisions, "{kernel:?} workers {workers}");
+                    assert_eq!(bits(&par.values), bits(&seq.values));
+                }
+            }
+        }
     }
 
     #[test]
     fn zero_time_and_zero_rate_shortcuts() {
         let m = chain();
         let goal = [false, false, true];
-        let r = timed_reachability_par(&m, &goal, 0.0, &ReachOptions::default(), 4).unwrap();
+        let engine = ReachEngine::new(&m, &goal).unwrap();
+        let r = engine.query(&m, 0.0, Objective::Maximize, 1e-6, 4).unwrap();
         assert_eq!(r.values, vec![0.0, 0.0, 1.0]);
         let empty = CtmdpBuilder::new(2, 0).build();
-        let r = timed_reachability_par(&empty, &[false, true], 3.0, &ReachOptions::default(), 4)
+        let r = ReachEngine::new(&empty, &[false, true])
+            .unwrap()
+            .query(&empty, 3.0, Objective::Maximize, 1e-6, 4)
             .unwrap();
         assert_eq!(r.values, vec![0.0, 1.0]);
         assert_eq!(r.iterations, 0);
@@ -885,21 +925,16 @@ mod tests {
     fn parallel_rejects_bad_epsilon_and_non_uniform() {
         let m = chain();
         let goal = [false, false, true];
+        let engine = ReachEngine::new(&m, &goal).unwrap();
         assert!(matches!(
-            timed_reachability_par(
-                &m,
-                &goal,
-                1.0,
-                &ReachOptions::default().with_epsilon(0.0),
-                2
-            ),
+            engine.query(&m, 1.0, Objective::Maximize, 0.0, 2),
             Err(ReachError::InvalidEpsilon { .. })
         ));
         let mut b = CtmdpBuilder::new(2, 0);
         b.transition(0, "a", &[(1, 1.0)]);
         b.transition(1, "a", &[(0, 3.0)]);
         assert!(matches!(
-            timed_reachability_par(&b.build(), &[false, true], 1.0, &ReachOptions::default(), 2),
+            ReachEngine::new(&b.build(), &[false, true]),
             Err(ReachError::NotUniform(_))
         ));
     }

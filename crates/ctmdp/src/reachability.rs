@@ -428,107 +428,130 @@ pub(crate) fn step_state(
     (best, best_idx)
 }
 
-/// One value-iteration sweep over `range`, dispatched once per call on
-/// the selected kernel — the single entry point shared by the sequential
-/// driver, the parallel workers and the guarded engine, which keeps every
-/// engine's per-state operation order (and therefore its bits) identical.
-///
-/// `out` receives the new values for `range` (indexed from `range.start`);
-/// `decisions` must either be empty (recording off — the branch is hoisted
-/// out of the loop here, not tested per state) or exactly `range.len()`.
-///
-/// The fused arm delegates the whole range to
-/// [`FusedGroups::sweep_best`], whose per-group semantics mirror
-/// [`step_state`] operation for operation: `Fixed` is the goal branch
-/// (`psi + q_next[s]`), `Empty` the absorbing branch (`0.0`), and active
-/// groups evaluate each transition's interned row with the same
-/// bias-then-entries order, the same strict `>`/`<` compares, and the
-/// same `-1.0`/`+∞` sentinels — so NaN rows keep the sentinel and ties
-/// keep the first transition in both kernels, and the outputs are
-/// bitwise identical.
-#[allow(clippy::too_many_arguments)] // crate-internal kernel dispatch; a struct would just rename the fields
-pub(crate) fn sweep_states(
-    kernel: Kernel,
-    ctmdp: &Ctmdp,
-    pre: &Precompute,
-    goal: &[bool],
-    range: Range<usize>,
-    psi: f64,
-    q_next: &[f64],
-    maximize: bool,
-    out: &mut [f64],
-    decisions: &mut [u16],
-) {
-    debug_assert_eq!(out.len(), range.len());
-    debug_assert!(decisions.is_empty() || decisions.len() == range.len());
-    let record = !decisions.is_empty();
-    match kernel {
-        Kernel::Reference => {
-            for (i, s) in range.enumerate() {
-                let (v, idx) = step_state(ctmdp, pre, goal, s, psi, q_next, maximize);
-                out[i] = v;
-                if record {
-                    decisions[i] = idx;
+/// The fixed inputs of one query's value-iteration sweeps: the model, its
+/// precomputation, the goal set and the per-query switches. Every engine
+/// sweeps through [`Sweep::states`], which keeps every engine's per-state
+/// operation order (and therefore its bits) identical.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sweep<'a> {
+    pub(crate) ctmdp: &'a Ctmdp,
+    pub(crate) pre: &'a Precompute,
+    pub(crate) goal: &'a [bool],
+    pub(crate) kernel: Kernel,
+    pub(crate) maximize: bool,
+    /// Record the optimizing transition of every state at every step.
+    pub(crate) record: bool,
+    /// A planned fault, `(step, worker)`: that worker panics at the start
+    /// of that step. Set only by the guarded engine's fault-inject plans.
+    pub(crate) fault: Option<(usize, usize)>,
+}
+
+impl<'a> Sweep<'a> {
+    /// The sweep a plain query with `opts` runs.
+    pub(crate) fn new(
+        ctmdp: &'a Ctmdp,
+        pre: &'a Precompute,
+        goal: &'a [bool],
+        opts: &ReachOptions,
+    ) -> Self {
+        Self {
+            ctmdp,
+            pre,
+            goal,
+            kernel: opts.kernel,
+            maximize: opts.objective == Objective::Maximize,
+            record: opts.record_decisions,
+            fault: None,
+        }
+    }
+
+    /// One value-iteration sweep over `range`, dispatched once per call on
+    /// the selected kernel.
+    ///
+    /// `out` receives the new values for `range` (indexed from
+    /// `range.start`); `decisions` must either be empty (recording off —
+    /// the branch is hoisted out of the loop here, not tested per state)
+    /// or exactly `range.len()`.
+    ///
+    /// The fused arm delegates the whole range to
+    /// [`FusedGroups::sweep_best`], whose per-group semantics mirror
+    /// [`step_state`] operation for operation: `Fixed` is the goal branch
+    /// (`psi + q_next[s]`), `Empty` the absorbing branch (`0.0`), and
+    /// active groups evaluate each transition's interned row with the same
+    /// bias-then-entries order, the same strict `>`/`<` compares, and the
+    /// same `-1.0`/`+∞` sentinels — so NaN rows keep the sentinel and ties
+    /// keep the first transition in both kernels, and the outputs are
+    /// bitwise identical.
+    pub(crate) fn states(
+        &self,
+        range: Range<usize>,
+        psi: f64,
+        q_next: &[f64],
+        out: &mut [f64],
+        decisions: &mut [u16],
+    ) {
+        debug_assert_eq!(out.len(), range.len());
+        debug_assert!(decisions.is_empty() || decisions.len() == range.len());
+        let record = !decisions.is_empty();
+        let (pre, maximize) = (self.pre, self.maximize);
+        match self.kernel {
+            Kernel::Reference => {
+                for (i, s) in range.enumerate() {
+                    let (v, idx) = step_state(self.ctmdp, pre, self.goal, s, psi, q_next, maximize);
+                    out[i] = v;
+                    if record {
+                        decisions[i] = idx;
+                    }
                 }
             }
-        }
-        Kernel::Fused => {
-            let decisions = if record { Some(decisions) } else { None };
-            // Timing attribution only while metric telemetry is live: the
-            // timed walk writes bitwise what the plain sweep writes (see
-            // `sweep_best_timed`), so the values never depend on which
-            // path ran — the bit-invisibility contract the CI trace-on/
-            // trace-off cmp gate pins.
-            if unicon_obs::live(unicon_obs::Class::Metric) {
-                let mut t = ClassTiming::default();
-                pre.fused
-                    .sweep_best_timed(range, psi, q_next, maximize, out, decisions, &mut t);
-                pre.timing.add(&t);
-            } else {
-                pre.fused
-                    .sweep_best(range, psi, q_next, maximize, out, decisions);
+            Kernel::Fused => {
+                let decisions = if record { Some(decisions) } else { None };
+                // Timing attribution only while metric telemetry is live:
+                // the timed walk writes bitwise what the plain sweep writes
+                // (see `sweep_best_timed`), so the values never depend on
+                // which path ran — the bit-invisibility contract the CI
+                // trace-on/trace-off cmp gate pins.
+                if unicon_obs::live(unicon_obs::Class::Metric) {
+                    let mut t = ClassTiming::default();
+                    pre.fused
+                        .sweep_best_timed(range, psi, q_next, maximize, out, decisions, &mut t);
+                    pre.timing.add(&t);
+                } else {
+                    pre.fused
+                        .sweep_best(range, psi, q_next, maximize, out, decisions);
+                }
             }
         }
     }
 }
 
-/// Scratch vectors reused across iterations *and across the queries of a
-/// batch*: the two value planes, the parallel engine's per-worker chunk
-/// buffers, and a counter of how many times a vector actually had to
-/// grow. A fresh default starts empty; after the first query every
+/// The two value planes, reused across iterations *and across the
+/// queries of a batch*, plus a counter of how many times a plane actually
+/// had to grow. A fresh default starts empty; after the first query every
 /// subsequent same-sized query runs allocation-free — `allocs` is the
 /// regression probe the buffer-reuse tests assert on.
 #[derive(Debug, Default)]
 pub(crate) struct SweepBuffers {
+    /// The plane the current step writes (`q_i`).
     pub(crate) q: Vec<f64>,
+    /// The previous iterate `q_{i+1}` the current step reads; holds `q_1`
+    /// once a query's steps are done.
     pub(crate) q_next: Vec<f64>,
-    /// Per-worker `(values, decisions)` scratch, stashed here between
-    /// parallel runs.
-    pub(crate) chunks: Vec<(Vec<f64>, Vec<u16>)>,
-    /// Number of times any held vector had to allocate (capacity grew).
+    /// Number of times a plane had to allocate (capacity grew).
     pub(crate) allocs: usize,
 }
 
 impl SweepBuffers {
-    /// Hands out the two value planes, zeroed and sized to `n`, counting
-    /// an allocation whenever a plane's capacity had to grow.
-    pub(crate) fn take_pair(&mut self, n: usize) -> (Vec<f64>, Vec<f64>) {
-        let mut q = std::mem::take(&mut self.q);
-        let mut q_next = std::mem::take(&mut self.q_next);
-        for v in [&mut q, &mut q_next] {
+    /// Zeroes both planes at length `n` (`q_{k+1} = 0`), counting an
+    /// allocation whenever a plane's capacity had to grow.
+    pub(crate) fn reset(&mut self, n: usize) {
+        for v in [&mut self.q, &mut self.q_next] {
             if v.capacity() < n {
                 self.allocs += 1;
             }
             v.clear();
             v.resize(n, 0.0);
         }
-        (q, q_next)
-    }
-
-    /// Returns the two value planes for the next query.
-    pub(crate) fn restore_pair(&mut self, q: Vec<f64>, q_next: Vec<f64>) {
-        self.q = q;
-        self.q_next = q_next;
     }
 }
 
@@ -584,79 +607,16 @@ pub fn timed_reachability(
     let start = Instant::now(); // det-lint: allow(clock): runtime telemetry only.
     let fg = FoxGlynn::new(pre.rate * t);
     let k = fg.right_truncation(opts.epsilon);
-    Ok(iterate_sequential(
-        ctmdp,
-        &pre,
-        goal,
+    let sweep = Sweep::new(ctmdp, &pre, goal, opts);
+    Ok(crate::par::iterate(
+        &sweep,
         &fg,
         k,
-        opts,
+        1,
         0,
         start,
         &mut SweepBuffers::default(),
     ))
-}
-
-/// The sequential value-iteration driver, shared by the single-query API
-/// and the batch engine's one-thread path. `qi` tags telemetry records
-/// with the query's index in its batch (0 for single-query calls). The
-/// value planes come from (and return to) `bufs`, so a batch's queries
-/// share one pair of allocations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn iterate_sequential(
-    ctmdp: &Ctmdp,
-    pre: &Precompute,
-    goal: &[bool],
-    fg: &FoxGlynn,
-    k: usize,
-    opts: &ReachOptions,
-    qi: usize,
-    start: Instant,
-    bufs: &mut SweepBuffers,
-) -> ReachResult {
-    let n = ctmdp.num_states();
-    let maximize = opts.objective == Objective::Maximize;
-    let mut decisions: Vec<Vec<u16>> = Vec::new();
-    if opts.record_decisions {
-        decisions.resize(k, Vec::new());
-    }
-
-    let (mut q, mut q_next) = bufs.take_pair(n); // q_{k+1} = 0
-    for i in (1..=k).rev() {
-        let psi = fg.psi(i);
-        let mut step_decisions: Vec<u16> = if opts.record_decisions {
-            vec![0; n]
-        } else {
-            Vec::new()
-        };
-        sweep_states(
-            opts.kernel,
-            ctmdp,
-            pre,
-            goal,
-            0..n,
-            psi,
-            &q_next,
-            maximize,
-            &mut q,
-            &mut step_decisions,
-        );
-        if opts.record_decisions {
-            decisions[i - 1] = step_decisions;
-        }
-        emit_iteration(qi, i, fg, k, &q);
-        std::mem::swap(&mut q, &mut q_next);
-    }
-    // q_next holds q_1.
-    let result = ReachResult {
-        values: finalize_values(goal, &q_next),
-        iterations: k,
-        uniform_rate: pre.rate,
-        runtime: start.elapsed(),
-        decisions,
-    };
-    bufs.restore_pair(q, q_next);
-    result
 }
 
 /// Emits the per-iteration convergence record when iteration telemetry is
@@ -688,93 +648,6 @@ pub(crate) fn emit_iteration(qi: usize, step: usize, fg: &FoxGlynn, k: usize, ne
             checksum,
         }
     });
-}
-
-/// Step-bounded reachability: the optimal probability to reach `B` within
-/// at most `k` Markov jumps, ignoring time.
-///
-/// This is the DTMDP core that Algorithm 1 weights with Poisson
-/// probabilities; unlike the timed analysis it does **not** require
-/// uniformity (jump counting is oblivious to exit rates).
-///
-/// # Panics
-///
-/// Panics if `goal.len()` mismatches the state count.
-///
-/// # Examples
-///
-/// ```
-/// use unicon_ctmdp::CtmdpBuilder;
-/// use unicon_ctmdp::reachability::{step_bounded_reachability, Objective};
-///
-/// let mut b = CtmdpBuilder::new(3, 0);
-/// b.transition(0, "a", &[(1, 1.0), (2, 1.0)]);
-/// b.transition(1, "a", &[(2, 2.0)]);
-/// b.transition(2, "a", &[(2, 2.0)]);
-/// let m = b.build();
-/// let goal = [false, false, true];
-/// let one = step_bounded_reachability(&m, &goal, 1, Objective::Maximize);
-/// assert_eq!(one[0], 0.5); // one jump: the 50/50 branch
-/// let two = step_bounded_reachability(&m, &goal, 2, Objective::Maximize);
-/// assert_eq!(two[0], 1.0); // two jumps always suffice
-/// ```
-pub fn step_bounded_reachability(
-    ctmdp: &Ctmdp,
-    goal: &[bool],
-    k: usize,
-    objective: Objective,
-) -> Vec<f64> {
-    // Infallible return type: a mismatched goal is a caller bug here (the
-    // CLI paths all build the goal from the model they pass), so this is a
-    // documented panic rather than a ReachError.
-    assert_eq!(
-        goal.len(),
-        ctmdp.num_states(),
-        "goal vector length mismatch"
-    );
-    let n = ctmdp.num_states();
-    let maximize = objective == Objective::Maximize;
-    let mut p: Vec<f64> = goal.iter().map(|&g| f64::from(u8::from(g))).collect();
-    let mut next = vec![0.0f64; n];
-    for _ in 0..k {
-        for s in 0..n {
-            if goal[s] {
-                next[s] = 1.0;
-                continue;
-            }
-            let trans = ctmdp.transitions_from(s as u32);
-            if trans.is_empty() {
-                next[s] = 0.0;
-                continue;
-            }
-            let mut best = if maximize { -1.0f64 } else { f64::INFINITY };
-            for tr in trans {
-                let rf = ctmdp.rate_function(tr.rate_fn);
-                let mut v = 0.0;
-                for (tgt, prob) in rf.probs() {
-                    v += prob * p[tgt as usize];
-                }
-                best = if maximize { best.max(v) } else { best.min(v) };
-            }
-            next[s] = best;
-        }
-        std::mem::swap(&mut p, &mut next);
-    }
-    p
-}
-
-/// Convenience wrapper returning only the value from the initial state.
-///
-/// # Errors
-///
-/// See [`timed_reachability`].
-pub fn timed_reachability_from_initial(
-    ctmdp: &Ctmdp,
-    goal: &[bool],
-    t: f64,
-    opts: &ReachOptions,
-) -> Result<f64, ReachError> {
-    Ok(timed_reachability(ctmdp, goal, t, opts)?.from_state(ctmdp.initial()))
 }
 
 #[cfg(test)]
@@ -991,58 +864,6 @@ mod tests {
         for step in &r.decisions {
             assert_eq!(step[0], 0);
         }
-    }
-
-    #[test]
-    fn step_bounded_is_monotone_and_bounds_timed() {
-        let (m, _) = chain_as_ctmdp();
-        let goal = [false, false, true];
-        let mut prev = 0.0;
-        for k in 0..8 {
-            let p = step_bounded_reachability(&m, &goal, k, Objective::Maximize)[0];
-            assert!((0.0..=1.0).contains(&p));
-            assert!(p >= prev - 1e-12);
-            prev = p;
-        }
-        // the timed value at precision ε is below the step-bounded value at
-        // the truncation point, plus ε
-        let t = 1.5;
-        let eps = 1e-9;
-        let timed =
-            timed_reachability(&m, &goal, t, &ReachOptions::default().with_epsilon(eps)).unwrap();
-        let stepped = step_bounded_reachability(&m, &goal, timed.iterations, Objective::Maximize);
-        assert!(timed.values[0] <= stepped[0] + eps);
-    }
-
-    #[test]
-    fn step_bounded_works_on_non_uniform_models() {
-        // non-uniform: exit rates 1 and 3 — jump counting does not care
-        let mut b = CtmdpBuilder::new(3, 0);
-        b.transition(0, "a", &[(1, 0.5), (2, 0.5)]);
-        b.transition(1, "a", &[(2, 3.0)]);
-        b.transition(2, "a", &[(2, 3.0)]);
-        let m = b.build();
-        assert!(m.uniform_rate().is_err());
-        let goal = [false, false, true];
-        let p1 = step_bounded_reachability(&m, &goal, 1, Objective::Maximize);
-        assert_close!(p1[0], 0.5, 1e-12);
-        let p2 = step_bounded_reachability(&m, &goal, 2, Objective::Maximize);
-        assert_close!(p2[0], 1.0, 1e-12);
-    }
-
-    #[test]
-    fn step_bounded_min_vs_max() {
-        let mut b = CtmdpBuilder::new(3, 0);
-        b.transition(0, "good", &[(1, 1.0)]);
-        b.transition(0, "bad", &[(2, 1.0)]);
-        b.transition(1, "s", &[(1, 1.0)]);
-        b.transition(2, "s", &[(2, 1.0)]);
-        let m = b.build();
-        let goal = [false, true, false];
-        let mx = step_bounded_reachability(&m, &goal, 3, Objective::Maximize);
-        let mn = step_bounded_reachability(&m, &goal, 3, Objective::Minimize);
-        assert_eq!(mx[0], 1.0);
-        assert_eq!(mn[0], 0.0);
     }
 
     #[test]

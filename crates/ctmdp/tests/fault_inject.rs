@@ -154,6 +154,46 @@ fn worker_panic_degrades_to_sequential_with_bitwise_correct_values() {
     }
 }
 
+/// Worker 0's chunk is swept by the calling thread itself, not a spawned
+/// worker. A panic there must be quarantined exactly like a panic in a
+/// spawned worker: the same Degradation record (bar the worker index)
+/// and the same value bits.
+#[test]
+fn worker_zero_panic_on_the_calling_thread_degrades_like_any_worker() {
+    let m = random_uniform_ctmdp(N, SEED);
+    let goal = random_goal(N, SEED);
+    let k = steps(&m, &goal);
+    let clean = batch(&m, &goal, 4).run().unwrap();
+    let step = 1 + k / 2;
+    for worker in [0, 2] {
+        let plan = FaultPlan {
+            panic_worker_at: Some((step, worker)),
+            ..FaultPlan::default()
+        };
+        let guard = GuardOptions::default()
+            .with_fault_plan(plan)
+            .with_degrade_policy(DegradePolicy::Sequential);
+        let run = batch(&m, &goal, 4).run_guarded(&guard).unwrap();
+        assert!(run.is_complete(), "worker {worker}");
+        assert_eq!(
+            bits(&run.results[0].values),
+            bits(&clean.results[0].values),
+            "worker {worker}"
+        );
+        assert_eq!(
+            run.events,
+            vec![GuardEvent::Degradation {
+                query: 0,
+                step,
+                worker,
+                from_threads: 4,
+                to_threads: 1,
+            }],
+            "worker {worker}"
+        );
+    }
+}
+
 #[test]
 fn degradation_emits_exactly_one_structured_guard_record() {
     let m = random_uniform_ctmdp(N, SEED);

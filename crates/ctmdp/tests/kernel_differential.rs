@@ -8,7 +8,8 @@
 //! models) plus the structural edge cases the fused layout special-cases
 //! (empty transition rows, all-goal models, single-action models, t=0).
 
-use unicon_ctmdp::par::timed_reachability_par;
+use unicon_ctmdp::guard::GuardOptions;
+use unicon_ctmdp::par::ReachBatch;
 use unicon_ctmdp::reachability::{timed_reachability, Kernel, Objective, ReachOptions};
 use unicon_ctmdp::{Ctmdp, CtmdpBuilder};
 use unicon_numeric::rng::{Rng, XorShift64};
@@ -59,8 +60,9 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 /// Runs both kernels over the same query (sequential engine) and
 /// asserts bitwise parity at the value *and* decision level, then
-/// repeats the fused run through the parallel engine at 1, 2, and 8
-/// threads against the same reference result.
+/// repeats the query on both kernels through the batch engine and the
+/// guarded engine at 1, 2, and 8 threads against the same reference
+/// result.
 fn assert_kernel_parity(m: &Ctmdp, goal: &[bool], t: f64, objective: Objective, label: &str) {
     let base = ReachOptions::default()
         .with_epsilon(1e-7)
@@ -72,17 +74,27 @@ fn assert_kernel_parity(m: &Ctmdp, goal: &[bool], t: f64, objective: Objective, 
     assert_eq!(fused.decisions, reference.decisions, "{label}");
     assert_eq!(fused.iterations, reference.iterations, "{label}");
     for threads in [1usize, 2, 8] {
-        let par =
-            timed_reachability_par(m, goal, t, &base.with_kernel(Kernel::Fused), threads).unwrap();
-        assert_eq!(
-            bits(&par.values),
-            bits(&reference.values),
-            "{label} threads={threads}"
-        );
-        assert_eq!(
-            par.decisions, reference.decisions,
-            "{label} threads={threads}"
-        );
+        for kernel in [Kernel::Reference, Kernel::Fused] {
+            let batch = ReachBatch::new(m, goal)
+                .with_epsilon(1e-7)
+                .with_threads(threads)
+                .with_kernel(kernel)
+                .query_with(t, objective);
+            let plain = batch.run().unwrap();
+            let guarded = batch.run_guarded(&GuardOptions::default()).unwrap();
+            assert!(guarded.is_complete(), "{label}");
+            for (engine, run) in [
+                ("plain", &plain.results[0]),
+                ("guarded", &guarded.results[0]),
+            ] {
+                assert_eq!(
+                    bits(&run.values),
+                    bits(&reference.values),
+                    "{label} {engine} {kernel:?} threads={threads}"
+                );
+                assert_eq!(run.iterations, reference.iterations, "{label}");
+            }
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! tests pin both claims on randomly generated uniform CTMDPs
 //! (XorShift64-seeded, so every run sees the same models).
 
-use unicon_ctmdp::par::{timed_reachability_par, ReachBatch};
+use unicon_ctmdp::par::{ReachBatch, ReachEngine};
 use unicon_ctmdp::reachability::{timed_reachability, Objective, ReachOptions};
 use unicon_ctmdp::{Ctmdp, CtmdpBuilder};
 use unicon_numeric::rng::{Rng, XorShift64};
@@ -74,8 +74,9 @@ fn parallel_is_bitwise_equal_for_1_2_and_8_threads() {
                 .with_epsilon(1e-9)
                 .with_objective(objective);
             let seq = timed_reachability(&m, &goal, t, &opts).unwrap();
+            let engine = ReachEngine::new(&m, &goal).unwrap();
             for threads in [1, 2, 8] {
-                let par = timed_reachability_par(&m, &goal, t, &opts, threads).unwrap();
+                let par = engine.query(&m, t, objective, 1e-9, threads).unwrap();
                 assert_eq!(
                     bits(&par.values),
                     bits(&seq.values),
@@ -85,23 +86,6 @@ fn parallel_is_bitwise_equal_for_1_2_and_8_threads() {
                 assert_eq!(par.uniform_rate.to_bits(), seq.uniform_rate.to_bits());
             }
         }
-    }
-}
-
-#[test]
-fn parallel_decision_recording_is_bitwise_equal() {
-    let n = 40;
-    let m = random_uniform_ctmdp(n, 11);
-    let goal = random_goal(n, 11);
-    let opts = ReachOptions::default()
-        .with_epsilon(1e-8)
-        .recording_decisions();
-    let seq = timed_reachability(&m, &goal, 2.0, &opts).unwrap();
-    assert!(!seq.decisions.is_empty());
-    for threads in [2, 8] {
-        let par = timed_reachability_par(&m, &goal, 2.0, &opts, threads).unwrap();
-        assert_eq!(par.decisions, seq.decisions, "threads {threads}");
-        assert_eq!(bits(&par.values), bits(&seq.values));
     }
 }
 

@@ -261,7 +261,6 @@ pub fn build_with(params: &FtwcParams, refiner: Refiner) -> (CompositionalModel,
         .iter()
         .map(|&l| u32::from(!premium(&unpack(l), n)))
         .collect();
-    let configs_before: Vec<Config> = hidden.labels.iter().map(|&l| unpack(l)).collect();
     let final_span = unicon_obs::span("minimize");
     let final_start = Instant::now();
     let (minimized, down_labels) = hidden
@@ -272,7 +271,6 @@ pub fn build_with(params: &FtwcParams, refiner: Refiner) -> (CompositionalModel,
 
     // Configs of the quotient are only meaningful up to the premium bit;
     // recover a representative config per quotient state for diagnostics.
-    let _ = configs_before;
     let configs: Vec<Config> = down_labels
         .iter()
         .map(|&d| {

@@ -46,6 +46,7 @@ use unicon_imc::audit::{lemma, with_recording, Obligation, Witness};
 use unicon_imc::bisim::{self, Partition};
 use unicon_imc::{Imc, Uniformity, View};
 use unicon_numeric::rates_approx_eq;
+use unicon_obs::json::{write_str, Value};
 
 use crate::diag::{Code, Diagnostic, Report, Severity};
 use crate::lints::lint_product;
@@ -107,7 +108,7 @@ impl AuditOutcome {
                 if j > 0 {
                     out.push(',');
                 }
-                push_json_str(&mut out, f);
+                write_str(f, &mut out);
             }
             out.push_str("]}");
         }
@@ -116,22 +117,6 @@ impl AuditOutcome {
         out.push('}');
         out
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn view_str(view: View) -> &'static str {
@@ -608,10 +593,10 @@ pub fn to_jsonl(records: &[CertRecord]) -> String {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, fp);
+            write_str(fp, &mut out);
         }
         out.push_str("],\"output\":");
-        push_json_str(&mut out, &r.output);
+        write_str(&r.output, &mut out);
         out.push_str(",\"input_rates\":[");
         for (i, rate) in r.input_rates.iter().enumerate() {
             if i > 0 {
@@ -622,10 +607,10 @@ pub fn to_jsonl(records: &[CertRecord]) -> String {
         out.push_str("],\"output_rate\":");
         push_opt_f64(&mut out, r.output_rate);
         out.push_str(",\"witness\":{\"kind\":");
-        push_json_str(&mut out, &r.witness_kind);
+        write_str(&r.witness_kind, &mut out);
         out.push_str(",\"fp\":");
         match &r.witness_fp {
-            Some(fp) => push_json_str(&mut out, fp),
+            Some(fp) => write_str(fp, &mut out),
             None => out.push_str("null"),
         }
         out.push_str(",\"rate\":");
@@ -635,7 +620,7 @@ pub fn to_jsonl(records: &[CertRecord]) -> String {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, a);
+            write_str(a, &mut out);
         }
         out.push_str("],\"blocks\":");
         match r.witness_blocks {
@@ -647,239 +632,39 @@ pub fn to_jsonl(records: &[CertRecord]) -> String {
     out
 }
 
-// --- A minimal JSON reader, enough for the certificate schema. -------------
+// --- Typed field readers over `unicon_obs::json::Value`. --------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
+fn string(v: &Value) -> Option<String> {
+    v.as_str().map(str::to_owned)
 }
 
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn count(v: &Value) -> Option<usize> {
+    v.as_f64()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as usize)
 }
 
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.eat_literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.eat_literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.eat_literal("null", JsonValue::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: find the full scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JsonValue::Num)
-            .ok_or_else(|| self.err("invalid number"))
-    }
-}
-
-fn get<'v>(obj: &'v [(String, JsonValue)], key: &str) -> Result<&'v JsonValue, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn as_str(v: &JsonValue, key: &str) -> Result<String, String> {
+/// `conv`, lifted to accept `null` as `None`.
+fn nullable<T>(v: &Value, conv: impl FnOnce(&Value) -> Option<T>) -> Option<Option<T>> {
     match v {
-        JsonValue::Str(s) => Ok(s.clone()),
-        _ => Err(format!("field `{key}` is not a string")),
+        Value::Null => Some(None),
+        v => conv(v).map(Some),
     }
 }
 
-fn as_opt_str(v: &JsonValue, key: &str) -> Result<Option<String>, String> {
+fn list<T>(v: &Value, item: impl Fn(&Value) -> Option<T>) -> Option<Vec<T>> {
     match v {
-        JsonValue::Null => Ok(None),
-        JsonValue::Str(s) => Ok(Some(s.clone())),
-        _ => Err(format!("field `{key}` is not a string or null")),
+        Value::Arr(items) => items.iter().map(item).collect(),
+        _ => None,
     }
 }
 
-fn as_opt_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, String> {
-    match v {
-        JsonValue::Null => Ok(None),
-        JsonValue::Num(n) => Ok(Some(*n)),
-        _ => Err(format!("field `{key}` is not a number or null")),
-    }
-}
-
-fn as_usize(v: &JsonValue, key: &str) -> Result<usize, String> {
-    match v {
-        JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-        _ => Err(format!("field `{key}` is not a non-negative integer")),
-    }
-}
-
-fn as_arr<'v>(v: &'v JsonValue, key: &str) -> Result<&'v [JsonValue], String> {
-    match v {
-        JsonValue::Arr(items) => Ok(items),
-        _ => Err(format!("field `{key}` is not an array")),
-    }
+/// Reads field `key` of `obj` through `conv`, naming the field on failure.
+fn field<T>(obj: &Value, key: &str, conv: impl FnOnce(&Value) -> Option<T>) -> Result<T, String> {
+    let v = obj
+        .get(key)
+        .ok_or_else(|| format!("missing field `{key}`"))?;
+    conv(v).ok_or_else(|| format!("field `{key}` has the wrong type"))
 }
 
 /// Parses a JSONL certificate back into records.
@@ -894,42 +679,31 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<CertRecord>, String> {
         if line.is_empty() {
             continue;
         }
-        let mut p = JsonParser::new(line);
-        let v = p.value().map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let JsonValue::Obj(obj) = v else {
+        let obj = Value::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        if !matches!(obj, Value::Obj(_)) {
             return Err(format!("line {}: record is not an object", lineno + 1));
-        };
+        }
         let rec = (|| -> Result<CertRecord, String> {
-            let witness = match get(&obj, "witness")? {
-                JsonValue::Obj(w) => w.clone(),
-                _ => return Err("field `witness` is not an object".into()),
-            };
+            let witness = obj
+                .get("witness")
+                .filter(|w| matches!(w, Value::Obj(_)))
+                .ok_or("field `witness` is not an object")?;
             Ok(CertRecord {
-                id: as_usize(get(&obj, "id")?, "id")?,
-                op: as_str(get(&obj, "op")?, "op")?,
-                lemma: as_str(get(&obj, "lemma")?, "lemma")?,
-                view: as_str(get(&obj, "view")?, "view")?,
-                inputs: as_arr(get(&obj, "inputs")?, "inputs")?
-                    .iter()
-                    .map(|v| as_str(v, "inputs[]"))
-                    .collect::<Result<_, _>>()?,
-                output: as_str(get(&obj, "output")?, "output")?,
-                input_rates: as_arr(get(&obj, "input_rates")?, "input_rates")?
-                    .iter()
-                    .map(|v| as_opt_f64(v, "input_rates[]"))
-                    .collect::<Result<_, _>>()?,
-                output_rate: as_opt_f64(get(&obj, "output_rate")?, "output_rate")?,
-                witness_kind: as_str(get(&witness, "kind")?, "witness.kind")?,
-                witness_fp: as_opt_str(get(&witness, "fp")?, "witness.fp")?,
-                witness_rate: as_opt_f64(get(&witness, "rate")?, "witness.rate")?,
-                witness_actions: as_arr(get(&witness, "actions")?, "witness.actions")?
-                    .iter()
-                    .map(|v| as_str(v, "witness.actions[]"))
-                    .collect::<Result<_, _>>()?,
-                witness_blocks: match get(&witness, "blocks")? {
-                    JsonValue::Null => None,
-                    v => Some(as_usize(v, "witness.blocks")?),
-                },
+                id: field(&obj, "id", count)?,
+                op: field(&obj, "op", string)?,
+                lemma: field(&obj, "lemma", string)?,
+                view: field(&obj, "view", string)?,
+                inputs: field(&obj, "inputs", |v| list(v, string))?,
+                output: field(&obj, "output", string)?,
+                input_rates: field(&obj, "input_rates", |v| {
+                    list(v, |r| nullable(r, Value::as_f64))
+                })?,
+                output_rate: field(&obj, "output_rate", |v| nullable(v, Value::as_f64))?,
+                witness_kind: field(witness, "kind", string)?,
+                witness_fp: field(witness, "fp", |v| nullable(v, string))?,
+                witness_rate: field(witness, "rate", |v| nullable(v, Value::as_f64))?,
+                witness_actions: field(witness, "actions", |v| list(v, string))?,
+                witness_blocks: field(witness, "blocks", |v| nullable(v, count))?,
             })
         })()
         .map_err(|e| format!("line {}: {e}", lineno + 1))?;
