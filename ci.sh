@@ -10,6 +10,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -123,14 +126,15 @@ echo "kill/resume dumps bitwise identical at 1 and 4 threads"
 # counts — the experiment the benchmark was asked to run — so it never
 # degenerates to a self-comparing "speedup_threads1_over_threads1" on a
 # clamped 1-CPU runner; a clamp is reported in the explicit `clamped`
-# field instead.
+# field instead. CI writes its copy under $CI_DIR, never over the
+# tracked file.
 ./target/release/unicon bench speedup --serial "$CI_DIR/reach_t1.json" \
-    --parallel "$CI_DIR/reach_t4.json" --out BENCH_reach.json 2>/dev/null
-if ! grep -q '"speedup_threads4_over_threads1":' BENCH_reach.json; then
+    --parallel "$CI_DIR/reach_t4.json" --out "$CI_DIR/BENCH_reach.json" 2>/dev/null
+if ! grep -q '"speedup_threads4_over_threads1":' "$CI_DIR/BENCH_reach.json"; then
     echo "FAIL: BENCH_reach.json lacks the requested-count speedup key"
     exit 1
 fi
-echo "BENCH_reach.json written ($(sed -n 's/.*\("speedup_threads4_over_threads1":[0-9.e+-]*\).*\("clamped":[a-z]*\).*/\1, \2/p' BENCH_reach.json))"
+echo "BENCH_reach.json written ($(sed -n 's/.*\("speedup_threads4_over_threads1":[0-9.e+-]*\).*\("clamped":[a-z]*\).*/\1, \2/p' "$CI_DIR/BENCH_reach.json"))"
 
 echo "==> perf history regression gate (bench history + diff)"
 # Two identical snapshots must diff clean; a synthetic 2x slowdown
@@ -151,13 +155,14 @@ if ./target/release/unicon bench diff --file "$HIST" --threshold 10 >/dev/null 2
     echo "FAIL: a synthetic 2x slowdown passed the perf regression gate"
     exit 1
 fi
-# Track the real run too: append this revision's snapshot to the
-# repo-level history and report (warn-only — wall-clock noise across
+# Track the real run too: append this revision's snapshot to a copy of
+# the repo-level history and report (warn-only — wall-clock noise across
 # heterogeneous runners is not a hermetic contract).
 REV=$(git rev-parse --short HEAD 2>/dev/null || echo local)
+cp BENCH_HISTORY.jsonl "$CI_DIR/BENCH_HISTORY.jsonl"
 ./target/release/unicon bench history --from "$CI_DIR/reach_t1.json" \
-    --rev "$REV" --file BENCH_HISTORY.jsonl 2>/dev/null
-./target/release/unicon bench diff --file BENCH_HISTORY.jsonl --threshold 25 \
+    --rev "$REV" --file "$CI_DIR/BENCH_HISTORY.jsonl" 2>/dev/null
+./target/release/unicon bench diff --file "$CI_DIR/BENCH_HISTORY.jsonl" --threshold 25 \
     || echo "warning: iterate_ms regressed vs the previous snapshot (not fatal)"
 echo "perf history gate: identical runs diff clean, injected 2x regression caught"
 
@@ -188,10 +193,10 @@ echo "==> construction benchmark (worklist vs reference refiner, bitwise gate)"
 # timings so the speedup claim stays honest. The JSONL trace must show
 # the whole pipeline: nested spans for all five phases plus the reach
 # engine's per-iteration records.
-./target/release/unicon bench-build --n-list 1,2,3 --out BENCH_build.json \
+./target/release/unicon bench-build --n-list 1,2,3 --out "$CI_DIR/BENCH_build.json" \
     --trace-out "$CI_DIR/bench_build.jsonl" 2>/dev/null
-wl=$(sed -n 's/.*"minimize_worklist_ms":\([0-9.e+-]*\),"minimize_reference_ms":\([0-9.e+-]*\).*/\1/p' BENCH_build.json | tail -1)
-ref=$(sed -n 's/.*"minimize_worklist_ms":\([0-9.e+-]*\),"minimize_reference_ms":\([0-9.e+-]*\).*/\2/p' BENCH_build.json | tail -1)
+wl=$(sed -n 's/.*"minimize_worklist_ms":\([0-9.e+-]*\),"minimize_reference_ms":\([0-9.e+-]*\).*/\1/p' "$CI_DIR/BENCH_build.json" | tail -1)
+ref=$(sed -n 's/.*"minimize_worklist_ms":\([0-9.e+-]*\),"minimize_reference_ms":\([0-9.e+-]*\).*/\2/p' "$CI_DIR/BENCH_build.json" | tail -1)
 ratio=$(awk "BEGIN { printf \"%.4f\", ($ref) / ($wl) }")
 echo "BENCH_build.json written (N=3 minimize speedup reference/worklist: $ratio)"
 for PHASE in build generate compose minimize transform precompute; do
@@ -284,6 +289,8 @@ for needle in \
     'unicon_kernel_single_ps_per_state_count 4\n' \
     'unicon_kernel_multi_ps_per_state_count 4\n' \
     'unicon_kernel_empty_ps_per_state_count 0\n' \
+    'unicon_reach_iterations_total 686\n' \
+    'unicon_reach_queries_total 7\n' \
     'unicon_serve_query_latency_ns_p50 ' \
     'unicon_serve_query_latency_ns_p90 ' \
     'unicon_serve_query_latency_ns_p99 ' \
@@ -347,6 +354,52 @@ if ! cmp -s "$CI_DIR/serve_drain_t1.sums" "$CI_DIR/serve_drain_t4.sums"; then
     exit 1
 fi
 echo "chaos suite green; drained sessions bitwise-match one-shot reach at 1 and 4 threads"
+
+echo "==> telemetry price gate (medians of 5 interleaved runs)"
+# What watching costs: a serve query (whose metrics registry is always
+# live) against the same query answered one-shot by `reach`, and a full
+# JSONL trace against no trace. Per-step records and checksums run only
+# for trace consumers, and per-class kernel timing is sampled, so both
+# ratios stay small; the bounds leave room for a noisy runner.
+PRICE_FP=7fae5fc2e4a8b865 # content fingerprint of FTWC N=16
+printf '{"register": {"ftwc": 16}}\n{"query": {"model": "%s", "t": 200, "threads": 1}}\n' \
+    "$PRICE_FP" > "$CI_DIR/price_serve.jsonl"
+for f in serve reach trace_on trace_off; do : > "$CI_DIR/price_$f.ms"; done
+for run in 1 2 3 4 5; do
+    ./target/release/unicon serve < "$CI_DIR/price_serve.jsonl" 2>/dev/null \
+        | sed -n 's/.*"wall_ms":\([0-9.e+-]*\).*/\1/p' >> "$CI_DIR/price_serve.ms"
+    ./target/release/unicon reach --ftwc 16 --time-bounds 200 --threads 1 \
+        --json "$CI_DIR/price_reach.json" >/dev/null 2>&1
+    ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads 1 \
+        --json "$CI_DIR/price_trace_off.json" >/dev/null 2>&1
+    ./target/release/unicon reach --ftwc 32 --time-bounds "$BOUNDS" --threads 1 \
+        --trace-out "$CI_DIR/price_trace.jsonl" \
+        --json "$CI_DIR/price_trace_on.json" >/dev/null 2>&1
+    for f in reach trace_off trace_on; do
+        sed -n 's/.*"iterate_ms":\([0-9.e+-]*\).*/\1/p' "$CI_DIR/price_$f.json" \
+            >> "$CI_DIR/price_$f.ms"
+    done
+done
+median() {
+    sort -g "$1" | awk '{ v[NR] = $1 } END { if (NR != 5) exit 1; print v[3] }'
+}
+# price_check <name> <numerator ms file> <denominator ms file> <bound>
+price_check() {
+    num=$(median "$2") && den=$(median "$3") || {
+        echo "FAIL: $1 price gate did not collect 5 timings per side"
+        exit 1
+    }
+    ratio=$(awk "BEGIN { printf \"%.2f\", ($num) / ($den) }")
+    echo "$1: median $num ms over $den ms = ${ratio}x (bound $4x)"
+    if ! awk "BEGIN { exit !($ratio <= $4) }"; then
+        echo "FAIL: $1 costs more than ${4}x"
+        exit 1
+    fi
+}
+price_check "serve over reach (FTWC 16, t=200)" \
+    "$CI_DIR/price_serve.ms" "$CI_DIR/price_reach.ms" 2.0
+price_check "trace on over off (FTWC 32)" \
+    "$CI_DIR/price_trace_on.ms" "$CI_DIR/price_trace_off.ms" 3.0
 
 echo "==> determinism source lint gate"
 ./target/release/unicon det-lint --deny warnings 2>/dev/null

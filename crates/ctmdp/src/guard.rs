@@ -31,7 +31,7 @@
 //!   recording a [`GuardEvent::Degradation`] ([`DegradePolicy::Sequential`]).
 //!
 //! Under the `fault-inject` cargo feature a deterministic, seeded
-//! [`FaultPlan`] can flip a value to NaN at a chosen step, panic a chosen
+//! `FaultPlan` can flip a value to NaN at a chosen step, panic a chosen
 //! worker, or truncate every checkpoint it writes — the CI gate drives
 //! all three and asserts the typed outcomes above.
 //!
@@ -1244,12 +1244,14 @@ fn run_guarded_inner(
         // and additionally types the underflow regime.
         let cached = FoxGlynn::try_weights(pre.rate * query.t, batch.epsilon)?;
         let (fg, k) = (cached.fg, cached.truncation);
-        unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
-            query: qi,
-            t: query.t,
-            lambda: fg.lambda(),
-            left: fg.left_truncation(batch.epsilon),
-            right: k,
+        unicon_obs::emit(unicon_obs::Class::Metric, || {
+            unicon_obs::Event::QueryStart {
+                query: qi,
+                t: query.t,
+                lambda: fg.lambda(),
+                left: fg.left_truncation(batch.epsilon),
+                right: k,
+            }
         });
 
         bufs.reset(n); // q_{k+1} = 0
@@ -1354,9 +1356,9 @@ impl ReachBatch<'_> {
     }
 
     /// Runs the batch under guard options while reusing the shared
-    /// precomputation held by a long-lived [`ReachEngine`] — the serve
-    /// path, where one engine answers many budgeted requests without
-    /// rebuilding the uniformised matrix per request.
+    /// precomputation held by a long-lived [`crate::par::ReachEngine`] —
+    /// the serve path, where one engine answers many budgeted requests
+    /// without rebuilding the uniformised matrix per request.
     ///
     /// The result is bitwise identical to [`ReachBatch::run_guarded`];
     /// sharing the precomputation affects no result bit.
@@ -1741,5 +1743,66 @@ mod tests {
         let budget = RunBudget::default().with_deadline(Instant::now());
         assert_eq!(budget.exceeded(0), Some(StopReason::DeadlineExpired));
         assert_eq!(RunBudget::default().exceeded(usize::MAX), None);
+    }
+
+    /// `unicon_reach_iterations_total` as a live registry would count
+    /// the collected events: the dispatcher hands a sink only the classes
+    /// it declared interest in.
+    fn iterations_total(events: &[unicon_obs::Event]) -> u64 {
+        use unicon_obs::Sink as _;
+        let reg = unicon_obs::Registry::new();
+        for ev in events {
+            if reg.interest() & ev.class().bit() != 0 {
+                reg.record(ev);
+            }
+        }
+        reg.exposition()
+            .lines()
+            .find_map(|l| l.strip_prefix("unicon_reach_iterations_total "))
+            .map_or(0, |v| v.parse().expect("integer counter"))
+    }
+
+    #[test]
+    fn stopped_and_resumed_runs_count_exactly_their_executed_steps() {
+        let m = chain();
+        let goal = [false, false, true];
+        let batch = ReachBatch::new(&m, &goal)
+            .with_epsilon(1e-9)
+            .query(1.0)
+            .query(2.5);
+        let ks: Vec<usize> = batch
+            .run()
+            .unwrap()
+            .results
+            .iter()
+            .map(|r| r.iterations)
+            .collect();
+        let total: usize = ks.iter().sum();
+        // Stop inside the first query, and inside the second one after
+        // the first completed.
+        for max in [5, ks[0] + 3] {
+            let path = temp_ck(&format!("iterations_{max}"));
+            let ck = CheckpointConfig::new(&path, 2);
+            let guard = GuardOptions::default()
+                .with_checkpoint(ck.clone())
+                .with_budget(RunBudget::default().with_max_iterations(max));
+            let (stopped, events) = unicon_obs::collect(|| batch.run_guarded(&guard).unwrap());
+            assert!(!stopped.is_complete());
+            assert_eq!(
+                iterations_total(&events),
+                max as u64,
+                "budget stop at {max}"
+            );
+
+            let guard = GuardOptions::default().with_checkpoint(ck);
+            let (resumed, events) = unicon_obs::collect(|| batch.resume(&path, &guard).unwrap());
+            assert!(resumed.is_complete());
+            assert_eq!(
+                iterations_total(&events),
+                (total - max) as u64,
+                "resume after {max}"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

@@ -55,11 +55,17 @@ use crate::reachability::{
 /// of the *algorithm*, never derived from the thread count.
 pub const CHECKSUM_BLOCK: usize = 1024;
 
+/// While metrics are live, the fused kernel times its class runs on the
+/// first sweep of a query and on every `KERNEL_TIMING_EVERY`-th step
+/// after it. The per-class speeds are ratios of time over groups from the
+/// same sampled sweeps, so they need no rescaling.
+const KERNEL_TIMING_EVERY: usize = 64;
+
 /// Resolves a `threads` request: `0` means "one worker per available
 /// hardware thread", and explicit requests are clamped to the hardware —
 /// oversubscribing workers onto fewer cores only adds scheduling noise
 /// (results are thread-count invariant either way, so the clamp is
-/// observable only in [`BatchStats::threads`] and wall time).
+/// observable only in [`BatchStats::threads_effective`] and wall time).
 pub fn resolve_threads(threads: usize) -> usize {
     let avail = std::thread::available_parallelism().map_or(1, usize::from);
     if threads == 0 {
@@ -187,6 +193,9 @@ impl StepHooks for Plain {
 /// for a fresh query (`from == k`), a checkpointed plane on resume; on
 /// `Ok` it holds `q_1`. Returns one decision row per step when
 /// `sweep.record` is set, nothing otherwise.
+///
+/// Whether it finishes or a hook stops it, the loop emits one
+/// `reach_iterations` counter for the steps it completed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_loop<H: StepHooks>(
     sweep: &Sweep<'_>,
@@ -197,6 +206,30 @@ pub(crate) fn step_loop<H: StepHooks>(
     qi: usize,
     bufs: &mut SweepBuffers,
     hooks: &mut H,
+) -> Result<Vec<Vec<u16>>, H::Stop> {
+    let mut done = 0;
+    let out = run_steps(sweep, workers, fg, k, from, qi, bufs, hooks, &mut done);
+    if done > 0 {
+        unicon_obs::emit(unicon_obs::Class::Metric, || unicon_obs::Event::Counter {
+            name: "reach_iterations",
+            value: done as u64,
+        });
+    }
+    out
+}
+
+/// The body of [`step_loop`], counting completed steps in `done`.
+#[allow(clippy::too_many_arguments)]
+fn run_steps<H: StepHooks>(
+    sweep: &Sweep<'_>,
+    workers: usize,
+    fg: &FoxGlynn,
+    k: usize,
+    from: usize,
+    qi: usize,
+    bufs: &mut SweepBuffers,
+    hooks: &mut H,
+    done: &mut usize,
 ) -> Result<Vec<Vec<u16>>, H::Stop> {
     let n = sweep.goal.len();
     let mut ranges = assign_blocks(n, workers.clamp(1, n.max(1)));
@@ -211,12 +244,14 @@ pub(crate) fn step_loop<H: StepHooks>(
         let psi = fg.psi(i);
         let mut row = if sweep.record { vec![0; n] } else { Vec::new() };
         let fault = sweep.fault.filter(|&(step, _)| step == i).map(|(_, w)| w);
-        if let Err(panic) = run_step(sweep, &ranges, psi, q_next, q, &mut row, fault) {
+        let timed = (k - i).is_multiple_of(KERNEL_TIMING_EVERY)
+            && unicon_obs::live(unicon_obs::Class::Metric);
+        if let Err(panic) = run_step(sweep, &ranges, psi, q_next, q, &mut row, fault, timed) {
             hooks.worker_panicked(i, ranges.len(), panic)?;
             // Replay from the untouched q_{i+1}: same kernel, same inputs,
             // so the replayed step is bitwise the step the workers owed.
             ranges = assign_blocks(n, 1);
-            if let Err(panic) = run_step(sweep, &ranges, psi, q_next, q, &mut row, None) {
+            if let Err(panic) = run_step(sweep, &ranges, psi, q_next, q, &mut row, None, timed) {
                 resume_unwind(panic.payload);
             }
         }
@@ -228,6 +263,7 @@ pub(crate) fn step_loop<H: StepHooks>(
         // has landed — workers never emit.
         emit_iteration(qi, i, fg, k, q);
         std::mem::swap(q, q_next);
+        *done += 1;
     }
     Ok(decisions)
 }
@@ -239,7 +275,9 @@ pub(crate) fn step_loop<H: StepHooks>(
 /// single range runs inline. Every chunk runs under `catch_unwind`, so a
 /// panic is returned (lowest worker index first), never propagated; the
 /// caller then discards or rewrites the whole plane. `fault` names a
-/// worker to panic at the start of its chunk (fault injection).
+/// worker to panic at the start of its chunk (fault injection); `timed`
+/// turns on the fused kernel's per-class timing for this step.
+#[allow(clippy::too_many_arguments)]
 fn run_step(
     sweep: &Sweep<'_>,
     ranges: &[Range<usize>],
@@ -248,6 +286,7 @@ fn run_step(
     out: &mut [f64],
     decisions: &mut [u16],
     fault: Option<usize>,
+    timed: bool,
 ) -> Result<(), WorkerPanic> {
     let chunk = |worker: usize, range: Range<usize>, out: &mut [f64], decisions: &mut [u16]| {
         // AssertUnwindSafe: after a panic the caller fails the run or
@@ -256,7 +295,7 @@ fn run_step(
             if fault == Some(worker) {
                 panic!("injected worker fault (worker {worker})");
             }
-            sweep.states(range, psi, prev, out, decisions);
+            sweep.states(range, psi, prev, out, decisions, timed);
         }))
         .map_err(|payload| WorkerPanic { worker, payload })
     };
@@ -362,7 +401,7 @@ pub struct BatchStats {
     pub kernel_ns_per_state: f64,
     /// How many times an iterate scratch vector had to allocate across
     /// the whole batch. After the first query warms the
-    /// [`SweepBuffers`], further same-model queries add zero.
+    /// value planes, further same-model queries add zero.
     pub buffer_allocs: usize,
     /// Per-query detail, in query order.
     pub queries: Vec<QueryStats>,
@@ -560,12 +599,14 @@ impl<'a> ReachBatch<'a> {
                 let cached = cache.get(pre.rate, q.t, self.epsilon).clone();
                 drop(weights_span);
                 weights_time += w_start.elapsed();
-                unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
-                    query: qi,
-                    t: q.t,
-                    lambda: cached.fg.lambda(),
-                    left: cached.fg.left_truncation(self.epsilon),
-                    right: cached.truncation,
+                unicon_obs::emit(unicon_obs::Class::Metric, || {
+                    unicon_obs::Event::QueryStart {
+                        query: qi,
+                        t: q.t,
+                        lambda: cached.fg.lambda(),
+                        left: cached.fg.left_truncation(self.epsilon),
+                        right: cached.truncation,
+                    }
                 });
                 let opts = opts_base.with_objective(q.objective);
                 let result = run_query(
@@ -634,7 +675,7 @@ impl<'a> ReachBatch<'a> {
 
 /// A re-entrant query engine over one `(model, goal)` pair.
 ///
-/// [`Precompute`] — the CSR traversal structures and the goal-row
+/// The precomputation — the CSR traversal structures and the goal-row
 /// pre-aggregation every value-iteration step reads — is built **once**
 /// at construction and only ever read afterwards, so a `&ReachEngine`
 /// can answer queries from many threads concurrently without locking.
@@ -784,12 +825,14 @@ impl ReachEngine {
         weights: &CachedWeights,
         threads: usize,
     ) -> ReachResult {
-        unicon_obs::emit(unicon_obs::Class::Iter, || unicon_obs::Event::QueryStart {
-            query: 0,
-            t,
-            lambda: weights.fg.lambda(),
-            left: weights.fg.left_truncation(epsilon),
-            right: weights.truncation,
+        unicon_obs::emit(unicon_obs::Class::Metric, || {
+            unicon_obs::Event::QueryStart {
+                query: 0,
+                t,
+                lambda: weights.fg.lambda(),
+                left: weights.fg.left_truncation(epsilon),
+                right: weights.truncation,
+            }
         });
         let opts = ReachOptions::default()
             .with_epsilon(epsilon)
@@ -1191,5 +1234,59 @@ mod tests {
         assert_eq!(resolve_threads(3), 3.min(avail));
         // An absurd request never exceeds the hardware.
         assert_eq!(resolve_threads(usize::MAX), avail);
+    }
+
+    /// With metrics live (here through a thread-local collector; an
+    /// installed registry turns on the same class), the fused kernel
+    /// times exactly the sampled sweeps — the first of the query and
+    /// every 64th step after it — at every worker count, and the query
+    /// still reports one speed sample per group class it swept. With
+    /// nothing live it times no sweep.
+    #[test]
+    fn kernel_timing_samples_the_first_sweep_and_every_64th_step() {
+        let m = chain();
+        let goal = [false, false, true];
+        let opts = ReachOptions::default();
+        for (workers, live) in [(1, false), (1, true), (2, true)] {
+            let pre = Precompute::new(&m, &goal).unwrap();
+            let fg = FoxGlynn::new(pre.rate * 100.0);
+            let k = fg.right_truncation(opts.epsilon);
+            assert!(k > 2 * KERNEL_TIMING_EVERY, "k = {k} spans several samples");
+            let sweep = Sweep::new(&m, &pre, &goal, &opts);
+            let mut bufs = SweepBuffers::default();
+            let mut run = || iterate(&sweep, &fg, k, workers, 0, Instant::now(), &mut bufs);
+            if live {
+                unicon_obs::collect(run);
+            } else {
+                run();
+            }
+            let groups: u64 = pre.timing.snapshot().groups.iter().sum();
+            let sampled = if live {
+                1 + (k - 1) / KERNEL_TIMING_EVERY
+            } else {
+                0
+            };
+            assert_eq!(groups, (goal.len() * sampled) as u64, "workers {workers}");
+        }
+        let engine = ReachEngine::new(&m, &goal).unwrap();
+        let (_, events) = unicon_obs::collect(|| {
+            engine
+                .query(&m, 100.0, Objective::Maximize, 1e-6, 1)
+                .unwrap()
+        });
+        let speed_samples: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                unicon_obs::Event::Observe { name, .. } if name.starts_with("kernel_") => {
+                    Some(*name)
+                }
+                _ => None,
+            })
+            .collect();
+        // One goal (fixed) state and two single-row states.
+        assert_eq!(
+            speed_samples,
+            ["kernel_fixed_ps_per_state", "kernel_single_ps_per_state"]
+        );
     }
 }

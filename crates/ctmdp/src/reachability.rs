@@ -137,7 +137,7 @@ pub enum Kernel {
     /// `rate_fn` → shared CSR row in rate-function-pool order.
     Reference,
     /// The fused state-major structure-of-arrays layout compiled by
-    /// [`Precompute`]: duplicated rows in sweep order, split
+    /// the query precomputation: duplicated rows in sweep order, split
     /// target/weight arrays, inlined goal coefficients, precomputed
     /// state classes, cache-blocked sweep.
     #[default]
@@ -257,8 +257,9 @@ pub(crate) struct Precompute {
     /// fused kernel reproduces the reference kernel's sums bitwise.
     pub(crate) fused: FusedGroups,
     /// Cross-thread per-[`unicon_sparse::GroupClass`] time attribution,
-    /// filled by the fused kernel only while metric telemetry is live.
-    /// Purely observational — no value-iteration bit depends on it.
+    /// filled by the fused kernel on sampled sweeps while metric
+    /// telemetry is live. Purely observational — no value-iteration bit
+    /// depends on it.
     pub(crate) timing: KernelTiming,
 }
 
@@ -471,7 +472,9 @@ impl<'a> Sweep<'a> {
     /// `out` receives the new values for `range` (indexed from
     /// `range.start`); `decisions` must either be empty (recording off —
     /// the branch is hoisted out of the loop here, not tested per state)
-    /// or exactly `range.len()`.
+    /// or exactly `range.len()`. `timed` attributes the fused sweep's
+    /// time to its group classes in the shared [`KernelTiming`] ledger;
+    /// the step loop sets it on sampled steps while metrics are live.
     ///
     /// The fused arm delegates the whole range to
     /// [`FusedGroups::sweep_best`], whose per-group semantics mirror
@@ -489,6 +492,7 @@ impl<'a> Sweep<'a> {
         q_next: &[f64],
         out: &mut [f64],
         decisions: &mut [u16],
+        timed: bool,
     ) {
         debug_assert_eq!(out.len(), range.len());
         debug_assert!(decisions.is_empty() || decisions.len() == range.len());
@@ -506,12 +510,11 @@ impl<'a> Sweep<'a> {
             }
             Kernel::Fused => {
                 let decisions = if record { Some(decisions) } else { None };
-                // Timing attribution only while metric telemetry is live:
-                // the timed walk writes bitwise what the plain sweep writes
+                // The timed walk writes bitwise what the plain sweep writes
                 // (see `sweep_best_timed`), so the values never depend on
                 // which path ran — the bit-invisibility contract the CI
                 // trace-on/trace-off cmp gate pins.
-                if unicon_obs::live(unicon_obs::Class::Metric) {
+                if timed {
                     let mut t = ClassTiming::default();
                     pre.fused
                         .sweep_best_timed(range, psi, q_next, maximize, out, decisions, &mut t);

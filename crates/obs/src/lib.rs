@@ -16,10 +16,11 @@
 //!
 //! * emission sites only **read** engine state (residuals, checksums);
 //!   no instrumented code path writes into the numeric pipeline;
-//! * `Instant` is read **only at span boundaries** ([`open_span`] /
-//!   [`close_span`]), never inside a per-iteration event — iteration
-//!   records are timestamp-free, so tracing adds no clock reads to the
-//!   hot loop;
+//! * per-iteration records are timestamp-free; `Instant` is read at
+//!   span boundaries ([`open_span`] / [`close_span`]) and, while metrics
+//!   are live, around the fused kernel's class runs on sampled sweeps
+//!   only (the first sweep of a query and every 64th step) — the clock
+//!   values feed the per-class speed histograms, never a result;
 //! * when no installed sink is interested in a [`Class`] (and no
 //!   thread-local collector is active), [`live`] is a single relaxed
 //!   atomic load plus a thread-local flag check, and [`emit`] never
@@ -81,7 +82,8 @@ pub enum Class {
     /// Span open/close records.
     Span,
     /// Per-iteration convergence telemetry — the only class whose
-    /// emission sites sit on the numeric hot path.
+    /// emission sites sit on the numeric hot path. Only trace consumers
+    /// (the JSONL sink, [`collect`]) want it.
     Iter,
     /// Counters and aggregate progress records (refinement rounds,
     /// Fox–Glynn windows, cache statistics).
@@ -175,6 +177,9 @@ pub fn emit(class: Class, f: impl FnOnce() -> Event) {
         return;
     }
     let ev = f();
+    // A misfiled event reaches the wrong sinks (and turns on the wrong
+    // hot-path work); catch it at the emit site in debug builds.
+    debug_assert_eq!(ev.class(), class, "event emitted under the wrong class");
     COLLECTOR.with(|c| {
         if let Some(buf) = c.borrow_mut().as_mut() {
             buf.push(ev.clone());
@@ -439,9 +444,12 @@ mod tests {
         let mut ran = false;
         emit(Class::Iter, || {
             ran = true;
-            Event::Counter {
-                name: "never",
-                value: 1,
+            Event::ReachIteration {
+                query: 0,
+                step: 1,
+                psi: 0.0,
+                residual: 0.0,
+                checksum: 0,
             }
         });
         assert!(!ran, "payload closure must not run while dormant");
@@ -549,6 +557,18 @@ mod tests {
             assert_eq!(current_request(), Some(7), "outer scope restored");
         }
         assert_eq!(current_request(), None, "no scope after the last drop");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "event emitted under the wrong class")]
+    fn misfiled_emit_panics_in_debug_builds() {
+        let _ = collect(|| {
+            emit(Class::Iter, || Event::Counter {
+                name: "misfiled",
+                value: 1,
+            });
+        });
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 
 use crate::hist::Histogram;
 use crate::sink::Sink;
-use crate::Event;
+use crate::{Class, Event};
 
 /// `(metric name, label set)` — the label set is pre-rendered
 /// (`key="value"`), empty for unlabeled samples. `BTreeMap` keys give
@@ -98,16 +98,16 @@ fn help_text(metric: &str) -> &'static str {
         "unicon_serve_build_ns" => "Wall-clock serve model build times in nanoseconds.",
         "unicon_reach_query_ns" => "Wall-clock reach query latencies in nanoseconds.",
         "unicon_kernel_fixed_ps_per_state" => {
-            "Fused-kernel sweep cost in picoseconds per state over fixed-classed (goal) groups, per query."
+            "Fused-kernel sweep cost in picoseconds per state over fixed-classed (goal) groups, per query; sampled: first sweep and every 64th step."
         }
         "unicon_kernel_empty_ps_per_state" => {
-            "Fused-kernel sweep cost in picoseconds per state over empty-classed (absorbing) groups, per query."
+            "Fused-kernel sweep cost in picoseconds per state over empty-classed (absorbing) groups, per query; sampled: first sweep and every 64th step."
         }
         "unicon_kernel_single_ps_per_state" => {
-            "Fused-kernel sweep cost in picoseconds per state over single-row groups, per query."
+            "Fused-kernel sweep cost in picoseconds per state over single-row groups, per query; sampled: first sweep and every 64th step."
         }
         "unicon_kernel_multi_ps_per_state" => {
-            "Fused-kernel sweep cost in picoseconds per state over multi-row (optimizing) groups, per query."
+            "Fused-kernel sweep cost in picoseconds per state over multi-row (optimizing) groups, per query; sampled: first sweep and every 64th step."
         }
         _ => "Event-stream counter.",
     }
@@ -235,13 +235,20 @@ fn render_sample(name: &str, labels: &str, value: &str) -> String {
 }
 
 impl Sink for Registry {
+    /// Every class but [`Class::Iter`]: step counts arrive as one
+    /// `reach_iterations` counter per step loop, so a live registry
+    /// never turns on the per-step checksum and record.
+    fn interest(&self) -> u32 {
+        Class::all_mask() & !Class::Iter.bit()
+    }
+
     fn record(&self, event: &Event) {
         self.with_inner(|inner| {
             let count = |m: &mut BTreeMap<SeriesKey, u64>, name: &str, labels: String, add: u64| {
                 *m.entry((name.to_string(), labels)).or_insert(0) += add;
             };
             match event {
-                Event::SpanOpen { .. } => {}
+                Event::SpanOpen { .. } | Event::ReachIteration { .. } => {}
                 Event::SpanClose { name, nanos, .. } => {
                     count(
                         &mut inner.counters,
@@ -278,14 +285,6 @@ impl Sink for Registry {
                     inner
                         .gauges
                         .insert((format!("unicon_{name}"), String::new()), *value);
-                }
-                Event::ReachIteration { .. } => {
-                    count(
-                        &mut inner.counters,
-                        "unicon_reach_iterations_total",
-                        String::new(),
-                        1,
-                    );
                 }
                 Event::QueryStart {
                     lambda,
@@ -399,12 +398,9 @@ mod tests {
             name: "serve_active_queries",
             value: 1.0,
         });
-        reg.record(&Event::ReachIteration {
-            query: 0,
-            step: 2,
-            psi: 0.1,
-            residual: 1e-3,
-            checksum: 1,
+        reg.record(&Event::Counter {
+            name: "reach_iterations",
+            value: 2,
         });
         reg.record(&Event::QueryStart {
             query: 0,
@@ -455,7 +451,7 @@ mod tests {
         // gauges replace, never accumulate
         assert!(text.contains("# TYPE unicon_serve_active_queries gauge"));
         assert!(text.contains("unicon_serve_active_queries 1e0"));
-        assert!(text.contains("unicon_reach_iterations_total 1"));
+        assert!(text.contains("unicon_reach_iterations_total 2"));
         assert!(text.contains("unicon_foxglynn_window_width 5.6e1"));
         assert!(text.contains("unicon_guard_events_total{kind=\"degradation\"} 1"));
         assert!(text.contains("unicon_log_messages_total{level=\"info\"} 1"));

@@ -15,10 +15,9 @@ use crate::{Class, Event, Level};
 pub trait Sink: Send + Sync {
     /// Bitmask of [`Class`]es this sink wants ([`Class::bit`]). The
     /// dispatcher ORs all installed sinks' interests into one global
-    /// mask, so a console-only setup never turns on hot-path telemetry.
-    fn interest(&self) -> u32 {
-        Class::all_mask()
-    }
+    /// mask, so a sink that leaves out [`Class::Iter`] never turns on
+    /// per-step telemetry. Required: every sink states its classes.
+    fn interest(&self) -> u32;
 
     /// Consumes one event.
     fn record(&self, event: &Event);
@@ -47,6 +46,11 @@ impl JsonlSink {
 }
 
 impl Sink for JsonlSink {
+    /// A trace wants everything, per-step iteration records included.
+    fn interest(&self) -> u32 {
+        Class::all_mask()
+    }
+
     fn record(&self, event: &Event) {
         let mut line = event.to_json();
         // record() runs on the emitting thread, so the thread-local

@@ -237,7 +237,10 @@ fn print_usage() {
          and shutdown/SIGTERM drain in-flight work before exiting 0\n\
          (--drain-grace caps the wait). Values and checksums are bitwise\n\
          identical to `unicon reach`, at any thread count, serial or\n\
-         concurrent, under load shedding, eviction, or drain.\n\n\
+         concurrent, under load shedding, eviction, or drain. The\n\
+         always-live metrics registry never turns on per-step iteration\n\
+         records and samples kernel timing (first sweep, every 64th step),\n\
+         so a served query costs about what `unicon reach` costs.\n\n\
          `audit --ftwc N` rebuilds the FTWC through the certified\n\
          compositional route with obligation recording on, then replays\n\
          every recorded step with the independent checker: fingerprints,\n\
